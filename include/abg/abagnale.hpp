@@ -13,18 +13,14 @@
 //   const abg::api::JobResult& r = handle->wait();
 //
 // Layering (stable to depend on, top to bottom):
-//   abg::api    — batch Engine, JobSpec/JobResult, manifests, compat wrappers
+//   abg::api    — batch Engine, JobSpec/JobResult, manifests
 //   abg::core   — the single-run Figure-1 pipeline (classify → segment → refine)
 //   abg::synth  — refinement loop, sketch enumeration, mister880 baseline
 //   abg::dsl / abg::distance / abg::trace / abg::cca / abg::net — domain types
 //   abg::util / abg::obs — status/result, threading, metrics, trace events
-//
-// The api::synthesize / api::run_mister880 free functions are compatibility
-// wrappers over a one-job Engine; new code should hold an Engine instead.
 #pragma once
 
 // Public facade (start here).
-#include "api/compat.hpp"
 #include "api/engine.hpp"
 #include "api/job.hpp"
 #include "api/manifest.hpp"

@@ -82,6 +82,47 @@ util::Status JobSpec::validate() const {
   return util::Status::ok();
 }
 
+util::Result<std::vector<trace::Trace>> load_job_traces(const JobSpec& spec) {
+  std::vector<trace::Trace> traces;
+  for (const auto& path : spec.trace_paths) {
+    auto t = trace::load_csv(path, spec.load);
+    if (!t.ok()) return t.status().with_context(path);
+    traces.push_back(std::move(*t));
+  }
+  traces.insert(traces.end(), spec.traces.begin(), spec.traces.end());
+  return traces;
+}
+
+obs::Labels job_obs_labels(const JobSpec& spec) {
+  obs::Labels labels{{"job", spec.name}};
+  if (spec.custom_dsl) {
+    labels.emplace_back("cca", spec.custom_dsl->name);
+  } else if (spec.pipeline.dsl_override) {
+    labels.emplace_back("cca", *spec.pipeline.dsl_override);
+  }
+  return labels;
+}
+
+void summarize_pipeline(JobResult* out) {
+  const synth::SynthesisResult& synthesis = out->pipeline.synthesis;
+  out->segments_total = out->pipeline.segments_total;
+  out->status = synthesis.status;
+  out->cache_hits = synthesis.cache_hits;
+  out->cache_misses = synthesis.cache_misses;
+  // Rebuilt from the recorded iteration reports rather than the streamed
+  // callbacks, so checkpoint-restored iterations (which are not replayed
+  // through on_iteration) are included and the series always matches the
+  // final SynthesisResult.
+  out->convergence.clear();
+  out->convergence.reserve(synthesis.iterations.size());
+  double wall_ms = 0.0;
+  for (std::size_t i = 0; i < synthesis.iterations.size(); ++i) {
+    wall_ms += synthesis.iterations[i].seconds * 1000.0;
+    out->convergence.push_back(
+        {static_cast<int>(i), synthesis.iterations[i].best_distance, wall_ms});
+  }
+}
+
 // --- JobHandle ---------------------------------------------------------------
 
 const std::string& JobHandle::name() const { return inner_->result.name; }
@@ -335,14 +376,9 @@ void Engine::run_job(detail::JobInner& job) {
       (opts_.share_eval_cache && popts.synth.use_eval_cache) ? &cache_ : nullptr;
   popts.synth.cancel = &job.token;
 
-  // Labeled metric series for this run: {job=<name>[, cca=<dsl>]}. The synth
-  // layer appends the per-bucket label itself.
-  obs::Labels job_labels{{"job", job.spec.name}};
-  if (job.spec.custom_dsl) {
-    job_labels.emplace_back("cca", job.spec.custom_dsl->name);
-  } else if (popts.dsl_override) {
-    job_labels.emplace_back("cca", *popts.dsl_override);
-  }
+  // Labeled metric series for this run. The synth layer appends the
+  // per-bucket label itself.
+  const obs::Labels job_labels = job_obs_labels(job.spec);
   popts.synth.obs_labels = job_labels;
 
   // Interpose on the per-iteration stream to keep the lock-free progress
@@ -359,81 +395,38 @@ void Engine::run_job(detail::JobInner& job) {
     if (user_cb) user_cb(rep);
   };
 
-  // Assemble the input traces.
-  std::vector<trace::Trace> traces;
-  for (const auto& path : job.spec.trace_paths) {
-    auto t = trace::load_csv(path, job.spec.load);
-    if (!t.ok()) {
-      // A batch manifest must not silently shrink its inputs: one bad file
-      // fails this job (and only this job).
-      out.status = t.status().with_context(path);
-      out.seconds = clock.elapsed_seconds();
-      c_completed.add();
-      return;
-    }
-    traces.push_back(std::move(*t));
-  }
-  for (const auto& t : job.spec.traces) traces.push_back(t);
-
-  // Resolve pre-segmented input and the explicit-DSL paths.
-  const bool pre_segmented = !job.spec.segments.empty();
-  auto resolve_dsl = [&]() -> dsl::Dsl {
-    if (job.spec.custom_dsl) return *job.spec.custom_dsl;
-    return dsl::dsl_by_name(*popts.dsl_override);  // validated: name is curated
-  };
-
-  if (job.spec.kind == JobSpec::Kind::kMister880) {
-    std::vector<trace::Segment> segments = job.spec.segments;
-    if (!pre_segmented) {
-      std::vector<trace::Trace> steady;
-      steady.reserve(traces.size());
-      for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, popts.warmup_s));
-      segments = trace::segment_all(steady, popts.min_segment_samples, popts.skip_first_segment);
-    }
-    out.segments_total = segments.size();
-    out.mister880 = synth::mister880_synthesize(resolve_dsl(), segments, job.spec.mister880);
-    out.status = util::Status::ok();
+  auto traces = load_job_traces(job.spec);
+  if (!traces.ok()) {
+    // A batch manifest must not silently shrink its inputs: one bad file
+    // fails this job (and only this job).
+    out.status = traces.status();
     out.seconds = clock.elapsed_seconds();
-    obs::gauge("api.job.seconds", job_labels).set(out.seconds);
     c_completed.add();
     return;
   }
 
-  if (pre_segmented || job.spec.custom_dsl) {
-    // Direct synthesis: an explicit search space, no classification stage.
-    const dsl::Dsl d = resolve_dsl();
-    std::vector<trace::Segment> segments = job.spec.segments;
-    if (!pre_segmented) {
-      std::vector<trace::Trace> steady;
-      steady.reserve(traces.size());
-      for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, popts.warmup_s));
-      segments = trace::segment_all(steady, popts.min_segment_samples, popts.skip_first_segment);
+  // An explicit search space — the mister880 baseline, pre-segmented input,
+  // or a custom DSL — skips classification and searches this pool directly.
+  const bool pre_segmented = !job.spec.segments.empty();
+  if (job.spec.kind == JobSpec::Kind::kMister880 || pre_segmented || job.spec.custom_dsl) {
+    const dsl::Dsl d =
+        job.spec.custom_dsl ? *job.spec.custom_dsl : dsl::dsl_by_name(*popts.dsl_override);
+    std::vector<trace::Segment> built;
+    if (!pre_segmented) built = core::build_segment_pool(*traces, popts);
+    const std::vector<trace::Segment>& segments = pre_segmented ? job.spec.segments : built;
+    if (job.spec.kind == JobSpec::Kind::kMister880) {
+      out.segments_total = segments.size();
+      out.mister880 = synth::mister880_synthesize(d, segments, job.spec.mister880);
+    } else {
+      out.pipeline.dsl_name = d.name;
+      out.pipeline.segments_total = segments.size();
+      out.pipeline.synthesis = synth::synthesize(d, segments, popts.synth);
     }
-    out.pipeline.dsl_name = d.name;
-    out.pipeline.segments_total = segments.size();
-    out.pipeline.synthesis = synth::synthesize(d, segments, popts.synth);
   } else {
-    out.pipeline = core::Abagnale(popts).run(traces);
+    out.pipeline = core::Abagnale(popts).run(*traces);
   }
-  out.segments_total = out.pipeline.segments_total;
-  out.status = out.pipeline.synthesis.status;
-  out.cache_hits = out.pipeline.synthesis.cache_hits;
-  out.cache_misses = out.pipeline.synthesis.cache_misses;
+  if (job.spec.kind == JobSpec::Kind::kPipeline) summarize_pipeline(&out);
   out.seconds = clock.elapsed_seconds();
-
-  // Rebuild the convergence series from the recorded iteration reports
-  // rather than the streamed callbacks, so checkpoint-restored iterations
-  // (which are not replayed through on_iteration) are included and the
-  // series always matches the final SynthesisResult.
-  const auto& iters = out.pipeline.synthesis.iterations;
-  out.convergence.clear();
-  out.convergence.reserve(iters.size());
-  double wall_ms = 0.0;
-  for (std::size_t i = 0; i < iters.size(); ++i) {
-    wall_ms += iters[i].seconds * 1000.0;
-    out.convergence.push_back(
-        {static_cast<int>(i), iters[i].best_distance, wall_ms});
-  }
 
   obs::gauge("api.job.seconds", job_labels).set(out.seconds);
   c_completed.add();

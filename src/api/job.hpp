@@ -26,6 +26,7 @@
 #include "synth/refinement.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
+#include "util/result.hpp"
 #include "util/status.hpp"
 
 namespace abg::api {
@@ -52,8 +53,7 @@ struct JobSpec {
   // Pre-segmented input: when non-empty, the pipeline's trim/segment stage
   // is bypassed and these segments feed synthesis directly. Requires an
   // explicit DSL (custom_dsl or pipeline.dsl_override) since there is no
-  // trace left to classify. This is the path the legacy free-function
-  // wrappers (api::synthesize / api::run_mister880) use.
+  // trace left to classify.
   std::vector<trace::Segment> segments;
 
   // An explicit DSL object, for callers that built their own search space;
@@ -189,5 +189,17 @@ struct JobResult {
   // The CLI/run-script exit class for this job (0 ok, 5 timeout, ...).
   int exit_class() const { return util::exit_code(status.code()); }
 };
+
+// The job's traces: its trace files, loaded in order with `load`, then its
+// in-memory traces. Fails on the first unreadable file, naming it.
+util::Result<std::vector<trace::Trace>> load_job_traces(const JobSpec& spec);
+
+// The labels of a job's metric series, the same on every execution path:
+// {job=<name>}, plus {cca=<dsl>} when the spec names its DSL.
+obs::Labels job_obs_labels(const JobSpec& spec);
+
+// Fill a finished pipeline job's summary (status, segment and cache totals,
+// convergence series) from out->pipeline.
+void summarize_pipeline(JobResult* out);
 
 }  // namespace abg::api

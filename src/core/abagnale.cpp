@@ -44,42 +44,50 @@ std::string dsl_for_classification(const classify::Classification& c) {
   return "vegas";
 }
 
+std::vector<trace::Segment> build_segment_pool(const std::vector<trace::Trace>& traces,
+                                               const PipelineOptions& opts) {
+  std::vector<trace::Trace> steady;
+  steady.reserve(traces.size());
+  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, opts.warmup_s));
+  return trace::segment_all(steady, opts.min_segment_samples, opts.skip_first_segment);
+}
+
 Abagnale::Abagnale(PipelineOptions opts) : opts_(std::move(opts)) {}
 
 PipelineResult Abagnale::run_with_dsl(const std::vector<trace::Trace>& traces,
-                                      const std::string& dsl_name) const {
+                                      const std::string& dsl_name,
+                                      const Synthesizer& synthesize) const {
   PipelineResult result;
   result.dsl_name = dsl_name;
   if (auto st = opts_.validate(); !st.is_ok()) {
     result.synthesis.status = st.with_context("PipelineOptions");
     return result;
   }
-  std::vector<trace::Trace> steady;
-  steady.reserve(traces.size());
-  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, opts_.warmup_s));
-  const auto segments =
-      trace::segment_all(steady, opts_.min_segment_samples, opts_.skip_first_segment);
+  const auto segments = build_segment_pool(traces, opts_);
   result.segments_total = segments.size();
   ABG_INFO("synthesizing in DSL '%s' over %zu segments from %zu traces", dsl_name.c_str(),
            segments.size(), traces.size());
-  result.synthesis = synth::synthesize(dsl::dsl_by_name(dsl_name), segments, opts_.synth);
+  const dsl::Dsl dsl = dsl::dsl_by_name(dsl_name);
+  result.synthesis = synthesize ? synthesize(dsl, segments, opts_.synth)
+                                : synth::synthesize(dsl, segments, opts_.synth);
   return result;
 }
 
-PipelineResult Abagnale::run(const std::vector<trace::Trace>& traces) const {
+PipelineResult Abagnale::run(const std::vector<trace::Trace>& traces,
+                             const Synthesizer& synthesize) const {
   if (auto st = opts_.validate(); !st.is_ok()) {
     PipelineResult result;
     result.synthesis.status = st.with_context("PipelineOptions");
     return result;
   }
   if (opts_.dsl_override) {
-    return run_with_dsl(traces, *opts_.dsl_override);
+    return run_with_dsl(traces, *opts_.dsl_override, synthesize);
   }
   classify::Classifier classifier(opts_.classifier);
   auto classification = classifier.classify(traces);
   const std::string dsl_name = dsl_for_classification(classification);
   ABG_INFO("classifier: label=%s -> DSL '%s'", classification.label.c_str(), dsl_name.c_str());
-  PipelineResult result = run_with_dsl(traces, dsl_name);
+  PipelineResult result = run_with_dsl(traces, dsl_name, synthesize);
   result.classification = std::move(classification);
   return result;
 }

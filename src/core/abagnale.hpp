@@ -5,11 +5,13 @@
 // observations.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "classify/classifier.hpp"
+#include "dsl/dsl.hpp"
 #include "synth/refinement.hpp"
 #include "trace/trace.hpp"
 #include "util/status.hpp"
@@ -53,17 +55,33 @@ struct PipelineResult {
 // DSL (the broadest curated space).
 std::string dsl_for_classification(const classify::Classification& c);
 
+// The segment pool a run searches (§3.2): each trace loses its first
+// `warmup_s` seconds, and the steady state is cut at loss events into
+// segments of at least `min_segment_samples` samples. Every entry point —
+// core::Abagnale, api::Engine, dist::Coordinator and each worker — builds
+// its pool here, so a worker's pool matches the coordinator's by
+// construction.
+std::vector<trace::Segment> build_segment_pool(const std::vector<trace::Trace>& traces,
+                                               const PipelineOptions& opts);
+
+// The refinement stage of a pipeline run. Empty means synth::synthesize;
+// dist::Coordinator substitutes the same driver over its worker fleet.
+using Synthesizer = std::function<synth::SynthesisResult(
+    const dsl::Dsl&, const std::vector<trace::Segment>&, const synth::SynthesisOptions&)>;
+
 class Abagnale {
  public:
   explicit Abagnale(PipelineOptions opts = {});
 
   // Full pipeline over a set of connections collected from one CCA.
-  PipelineResult run(const std::vector<trace::Trace>& traces) const;
+  PipelineResult run(const std::vector<trace::Trace>& traces,
+                     const Synthesizer& synthesize = {}) const;
 
   // Synthesis only, with an explicit DSL (used by the §6.3 DSL-impact
   // experiments and by callers that already know the family).
   PipelineResult run_with_dsl(const std::vector<trace::Trace>& traces,
-                              const std::string& dsl_name) const;
+                              const std::string& dsl_name,
+                              const Synthesizer& synthesize = {}) const;
 
   const PipelineOptions& options() const { return opts_; }
 

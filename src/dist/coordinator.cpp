@@ -1,31 +1,18 @@
 #include "dist/coordinator.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <map>
 #include <thread>
 #include <utility>
 
 #include "api/manifest.hpp"
-#include "classify/classifier.hpp"
 #include "core/abagnale.hpp"
 #include "dist/http_client.hpp"
 #include "dist/wire.hpp"
-#include "dsl/dsl.hpp"
-#include "dsl/parse.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
-#include "synth/buckets.hpp"
-#include "synth/checkpoint.hpp"
-#include "synth/eval_cache.hpp"
-#include "synth/replay.hpp"
 #include "synth/shard.hpp"
-#include "trace/sampler.hpp"
-#include "trace/trace.hpp"
-#include "trace/trace_io.hpp"
 #include "util/csv.hpp"
 #include "util/json_parse.hpp"
 #include "util/log.hpp"
@@ -56,54 +43,57 @@ std::string endpoint_name(const WorkerEndpoint& ep) {
   return ep.host + ":" + std::to_string(ep.port);
 }
 
-// The whole distributed-run state, so helpers can share it without a
-// ten-argument signature.
-struct Run {
-  explicit Run(const CoordinatorOptions& c) : copts(c) {}
+// The remote pass executor: one job's worker fleet. Loads the bucket states
+// onto the workers, runs each pass as per-worker iterate RPCs, polls, and
+// reassigns a dead worker's buckets from their committed states.
+struct Fleet final : synth::PassExecutor {
+  Fleet(const CoordinatorOptions& copts, std::uint64_t pool_fingerprint, std::string spec_json)
+      : copts(copts), pool_fingerprint(pool_fingerprint), spec_json(std::move(spec_json)) {
+    workers.resize(copts.workers.size());
+    for (std::size_t i = 0; i < workers.size(); ++i) workers[i].ep = copts.workers[i];
+  }
+
+  util::Status load(const std::vector<synth::BucketCheckpoint>& states) override;
+  util::Result<std::vector<synth::BucketOutcome>> run_pass(const synth::PassRequest& req) override;
+  void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) override;
 
   const CoordinatorOptions& copts;
-  synth::SynthesisOptions opts;  // dopts already folded
-  dsl::Dsl dsl;
-  std::vector<trace::Segment> segments;
-  std::uint64_t pool_fingerprint = 0;
-  std::string spec_json;  // codec-serialized spec shipped to every worker
+  const std::uint64_t pool_fingerprint;
+  const std::string spec_json;  // codec-serialized spec shipped to every worker
 
   std::vector<WorkerView> workers;
-  std::vector<synth::Bucket> buckets;              // make_buckets order
   std::map<std::string, std::size_t> bucket_index;  // label -> index
   std::vector<synth::BucketCheckpoint> committed;  // last completed pass, per bucket
   std::vector<std::size_t> owner;                  // bucket index -> worker index
   std::uint64_t epoch = 1;
   std::uint64_t next_pass_id = 1;
-
-  util::CancellationToken* tok = nullptr;
   std::size_t reassigned = 0;
 };
 
-std::size_t alive_count(const Run& run) {
+std::size_t alive_count(const Fleet& fleet) {
   std::size_t n = 0;
-  for (const auto& w : run.workers) n += w.alive ? 1 : 0;
+  for (const auto& w : fleet.workers) n += w.alive ? 1 : 0;
   return n;
 }
 
-void mark_dead(Run& run, std::size_t wi, const char* why) {
-  if (!run.workers[wi].alive) return;
-  run.workers[wi].alive = false;
-  run.workers[wi].busy = false;
+void mark_dead(Fleet& fleet, std::size_t wi, const char* why) {
+  if (!fleet.workers[wi].alive) return;
+  fleet.workers[wi].alive = false;
+  fleet.workers[wi].busy = false;
   static auto& c_lost = obs::counter("dist.workers_lost");
   c_lost.add();
   ABG_WARN("worker %s declared dead (%s); %zu still alive",
-           endpoint_name(run.workers[wi].ep).c_str(), why, alive_count(run));
+           endpoint_name(fleet.workers[wi].ep).c_str(), why, alive_count(fleet));
 }
 
 // The alive worker with the fewest queued + in-flight labels.
-std::size_t least_loaded_alive(const Run& run) {
-  std::size_t best = run.workers.size();
+std::size_t least_loaded_alive(const Fleet& fleet) {
+  std::size_t best = fleet.workers.size();
   std::size_t best_load = 0;
-  for (std::size_t i = 0; i < run.workers.size(); ++i) {
-    if (!run.workers[i].alive) continue;
-    const std::size_t load = run.workers[i].queue.size() + run.workers[i].inflight.size();
-    if (best == run.workers.size() || load < best_load) {
+  for (std::size_t i = 0; i < fleet.workers.size(); ++i) {
+    if (!fleet.workers[i].alive) continue;
+    const std::size_t load = fleet.workers[i].queue.size() + fleet.workers[i].inflight.size();
+    if (best == fleet.workers.size() || load < best_load) {
       best = i;
       best_load = load;
     }
@@ -111,14 +101,14 @@ std::size_t least_loaded_alive(const Run& run) {
   return best;  // == workers.size() when none alive
 }
 
-util::Result<HttpReply> rpc(Run& run, std::size_t wi, const std::string& method,
+util::Result<HttpReply> rpc(Fleet& fleet, std::size_t wi, const std::string& method,
                             const std::string& path, const std::string& body) {
-  auto r = http_request(run.workers[wi].ep.host, run.workers[wi].ep.port, method, path, body,
-                        run.copts.rpc_timeout_s);
+  auto r = http_request(fleet.workers[wi].ep.host, fleet.workers[wi].ep.port, method, path, body,
+                        fleet.copts.rpc_timeout_s);
   if (r.ok()) {
-    run.workers[wi].failures = 0;
+    fleet.workers[wi].failures = 0;
   } else {
-    ++run.workers[wi].failures;
+    ++fleet.workers[wi].failures;
   }
   return r;
 }
@@ -127,8 +117,8 @@ util::Result<HttpReply> rpc(Run& run, std::size_t wi, const std::string& method,
 // flagged for restore (the survivor must adopt the committed state before
 // re-running the pass). Also repoints the owner map so later passes land on
 // the adopter directly.
-util::Status reassign_from(Run& run, std::size_t dead_wi) {
-  WorkerView& dead = run.workers[dead_wi];
+util::Status reassign_from(Fleet& fleet, std::size_t dead_wi) {
+  WorkerView& dead = fleet.workers[dead_wi];
   std::vector<std::pair<std::string, bool>> orphans = std::move(dead.queue);
   for (const auto& label : dead.inflight) orphans.emplace_back(label, true);
   dead.queue.clear();
@@ -137,17 +127,17 @@ util::Status reassign_from(Run& run, std::size_t dead_wi) {
 
   static auto& c_reassigned = obs::counter("dist.shards_reassigned");
   for (auto& [label, _] : orphans) {
-    const std::size_t target = least_loaded_alive(run);
-    if (target == run.workers.size()) {
+    const std::size_t target = least_loaded_alive(fleet);
+    if (target == fleet.workers.size()) {
       return util::Status(util::StatusCode::kIoError,
                           "all workers lost; cannot reassign bucket " + label);
     }
-    run.workers[target].queue.emplace_back(label, true);
-    run.owner[run.bucket_index.at(label)] = target;
-    ++run.reassigned;
+    fleet.workers[target].queue.emplace_back(label, true);
+    fleet.owner[fleet.bucket_index.at(label)] = target;
+    ++fleet.reassigned;
     c_reassigned.add();
     ABG_INFO("bucket %s reassigned to %s", label.c_str(),
-             endpoint_name(run.workers[target].ep).c_str());
+             endpoint_name(fleet.workers[target].ep).c_str());
   }
   return util::Status::ok();
 }
@@ -155,32 +145,32 @@ util::Status reassign_from(Run& run, std::size_t dead_wi) {
 // POST /shard/load to worker `wi` with its currently-owned buckets and their
 // committed states. Used at job start and never after (mid-run adoption goes
 // through /shard/restore, which preserves the worker's other buckets).
-util::Status load_worker(Run& run, std::size_t wi) {
+util::Status load_worker(Fleet& fleet, std::size_t wi) {
   std::vector<std::size_t> owned;
-  for (std::size_t b = 0; b < run.buckets.size(); ++b) {
-    if (run.owner[b] == wi) owned.push_back(b);
+  for (std::size_t b = 0; b < fleet.committed.size(); ++b) {
+    if (fleet.owner[b] == wi) owned.push_back(b);
   }
   obs::JsonWriter w;
   w.begin_object();
   w.key("epoch");
-  w.value(run.epoch);
+  w.value(fleet.epoch);
   w.key("spec");
-  w.raw(run.spec_json);
+  w.raw(fleet.spec_json);
   w.key("buckets");
   w.begin_array();
-  for (std::size_t b : owned) w.value(run.buckets[b].label);
+  for (std::size_t b : owned) w.value(fleet.committed[b].label);
   w.end_array();
   w.key("states");
   w.begin_array();
-  for (std::size_t b : owned) write_bucket_checkpoint(w, run.committed[b]);
+  for (std::size_t b : owned) write_bucket_checkpoint(w, fleet.committed[b]);
   w.end_array();
   w.end_object();
 
-  auto r = rpc(run, wi, "POST", "/shard/load", w.take());
+  auto r = rpc(fleet, wi, "POST", "/shard/load", w.take());
   if (!r.ok()) return r.status();
   if (r->code != 200) {
     return util::Status(util::StatusCode::kUnknown,
-                        "worker " + endpoint_name(run.workers[wi].ep) + " rejected load: " +
+                        "worker " + endpoint_name(fleet.workers[wi].ep) + " rejected load: " +
                             r->body);
   }
   auto doc = util::parse_json(r->body);
@@ -190,12 +180,12 @@ util::Status load_worker(Run& run, std::size_t wi) {
   if (fp == nullptr || !u64_from_json(*fp, "pool_fingerprint", &worker_fp).is_ok()) {
     return util::Status(util::StatusCode::kParseError, "malformed load reply");
   }
-  if (worker_fp != run.pool_fingerprint) {
+  if (worker_fp != fleet.pool_fingerprint) {
     // The worker derived a different segment pool from the same spec —
     // mismatched trace files on its filesystem. Running it would silently
     // search a different problem.
     return util::Status(util::StatusCode::kInvalidTrace,
-                        "worker " + endpoint_name(run.workers[wi].ep) +
+                        "worker " + endpoint_name(fleet.workers[wi].ep) +
                             " segment-pool fingerprint mismatch (different trace data?)");
   }
   return util::Status::ok();
@@ -204,29 +194,30 @@ util::Status load_worker(Run& run, std::size_t wi) {
 // Run one distributed pass over `labels` (in live order): issue per-worker
 // iterate RPCs, poll, reassign on death, and return the post-pass
 // checkpoints keyed by label. Cancellation aborts with the token's reason.
-util::Status run_pass(Run& run, const std::vector<std::string>& labels, std::size_t target,
-                      const std::vector<std::size_t>& working,
-                      std::map<std::string, synth::BucketCheckpoint>* out) {
+util::Status dispatch_pass(Fleet& fleet, const std::vector<std::string>& labels,
+                           std::size_t target, const std::vector<std::size_t>& working,
+                           const util::CancellationToken* cancel,
+                           std::map<std::string, synth::BucketCheckpoint>* out) {
   static auto& c_passes = obs::counter("dist.passes");
   c_passes.add();
 
   // Queue every label on its owner, initially without restore (the owner
   // already holds the bucket from load or an earlier pass).
   for (const auto& label : labels) {
-    const std::size_t wi = run.owner.at(run.bucket_index.at(label));
-    if (!run.workers[wi].alive) {
+    const std::size_t wi = fleet.owner.at(fleet.bucket_index.at(label));
+    if (!fleet.workers[wi].alive) {
       // Owner died in an earlier pass and this bucket was not live then;
       // route it like any orphan.
-      const std::size_t t = least_loaded_alive(run);
-      if (t == run.workers.size()) {
+      const std::size_t t = least_loaded_alive(fleet);
+      if (t == fleet.workers.size()) {
         return util::Status(util::StatusCode::kIoError, "all workers lost");
       }
-      run.owner[run.bucket_index.at(label)] = t;
-      run.workers[t].queue.emplace_back(label, true);
-      ++run.reassigned;
+      fleet.owner[fleet.bucket_index.at(label)] = t;
+      fleet.workers[t].queue.emplace_back(label, true);
+      ++fleet.reassigned;
       obs::counter("dist.shards_reassigned").add();
     } else {
-      run.workers[wi].queue.emplace_back(label, false);
+      fleet.workers[wi].queue.emplace_back(label, false);
     }
   }
 
@@ -240,35 +231,35 @@ util::Status run_pass(Run& run, const std::vector<std::string>& labels, std::siz
 
   std::size_t collected = 0;
   while (collected < labels.size()) {
-    if (run.tok->cancelled()) {
-      return util::Status(run.tok->reason(), "distributed pass interrupted");
+    if (cancel != nullptr && cancel->cancelled()) {
+      return util::Status(cancel->reason(), "distributed pass interrupted");
     }
 
     // Issue queued groups to every idle alive worker.
-    for (std::size_t wi = 0; wi < run.workers.size(); ++wi) {
-      WorkerView& wv = run.workers[wi];
+    for (std::size_t wi = 0; wi < fleet.workers.size(); ++wi) {
+      WorkerView& wv = fleet.workers[wi];
       if (!wv.alive || wv.busy || wv.queue.empty()) continue;
 
       // Restore first where needed (adopting a dead peer's committed state).
       std::vector<std::size_t> restore;
       for (const auto& [label, needs_restore] : wv.queue) {
-        if (needs_restore) restore.push_back(run.bucket_index.at(label));
+        if (needs_restore) restore.push_back(fleet.bucket_index.at(label));
       }
       if (!restore.empty()) {
         obs::JsonWriter w;
         w.begin_object();
         w.key("epoch");
-        w.value(run.epoch);
+        w.value(fleet.epoch);
         w.key("states");
         w.begin_array();
-        for (std::size_t b : restore) write_bucket_checkpoint(w, run.committed[b]);
+        for (std::size_t b : restore) write_bucket_checkpoint(w, fleet.committed[b]);
         w.end_array();
         w.end_object();
-        auto r = rpc(run, wi, "POST", "/shard/restore", w.take());
+        auto r = rpc(fleet, wi, "POST", "/shard/restore", w.take());
         if (!r.ok() || r->code != 200) {
-          if (run.workers[wi].failures >= run.copts.max_rpc_failures || (r.ok() && r->code != 200)) {
-            mark_dead(run, wi, "restore failed");
-            if (auto st = reassign_from(run, wi); !st.is_ok()) return st;
+          if (wv.failures >= fleet.copts.max_rpc_failures || (r.ok() && r->code != 200)) {
+            mark_dead(fleet, wi, "restore failed");
+            if (auto st = reassign_from(fleet, wi); !st.is_ok()) return st;
           }
           continue;
         }
@@ -277,9 +268,9 @@ util::Status run_pass(Run& run, const std::vector<std::string>& labels, std::siz
       obs::JsonWriter w;
       w.begin_object();
       w.key("epoch");
-      w.value(run.epoch);
+      w.value(fleet.epoch);
       w.key("pass_id");
-      w.value(run.next_pass_id);
+      w.value(fleet.next_pass_id);
       w.key("target");
       w.value(static_cast<std::uint64_t>(target));
       w.key("buckets");
@@ -289,69 +280,69 @@ util::Status run_pass(Run& run, const std::vector<std::string>& labels, std::siz
       w.key("working");
       w.raw(working_json);
       w.end_object();
-      auto r = rpc(run, wi, "POST", "/shard/iterate", w.take());
+      auto r = rpc(fleet, wi, "POST", "/shard/iterate", w.take());
       if (!r.ok()) {
-        if (wv.failures >= run.copts.max_rpc_failures) {
-          mark_dead(run, wi, "iterate failed");
-          if (auto st = reassign_from(run, wi); !st.is_ok()) return st;
+        if (wv.failures >= fleet.copts.max_rpc_failures) {
+          mark_dead(fleet, wi, "iterate failed");
+          if (auto st = reassign_from(fleet, wi); !st.is_ok()) return st;
         }
         continue;
       }
       if (r->code != 202) {
-        mark_dead(run, wi, ("iterate rejected: " + r->body).c_str());
-        if (auto st = reassign_from(run, wi); !st.is_ok()) return st;
+        mark_dead(fleet, wi, ("iterate rejected: " + r->body).c_str());
+        if (auto st = reassign_from(fleet, wi); !st.is_ok()) return st;
         continue;
       }
       wv.inflight.clear();
       for (const auto& [label, _] : wv.queue) wv.inflight.push_back(label);
       wv.queue.clear();
       wv.busy = true;
-      ++run.next_pass_id;
+      ++fleet.next_pass_id;
     }
 
     bool any_busy = false;
-    for (const auto& wv : run.workers) any_busy = any_busy || wv.busy;
+    for (const auto& wv : fleet.workers) any_busy = any_busy || wv.busy;
     if (!any_busy) {
       // Nothing in flight and nothing issuable; if labels remain, every
       // carrier died without a survivor to take over.
       bool pending = false;
-      for (const auto& wv : run.workers) pending = pending || !wv.queue.empty();
+      for (const auto& wv : fleet.workers) pending = pending || !wv.queue.empty();
       if (!pending && collected < labels.size()) {
         return util::Status(util::StatusCode::kIoError, "all workers lost mid-pass");
       }
-      if (pending && alive_count(run) == 0) {
+      if (pending && alive_count(fleet) == 0) {
         return util::Status(util::StatusCode::kIoError, "all workers lost mid-pass");
       }
       continue;
     }
 
     std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<long>(run.copts.poll_interval_s * 1e6)));
+        std::chrono::microseconds(static_cast<long>(fleet.copts.poll_interval_s * 1e6)));
 
     // Poll the busy workers.
-    for (std::size_t wi = 0; wi < run.workers.size(); ++wi) {
-      WorkerView& wv = run.workers[wi];
+    for (std::size_t wi = 0; wi < fleet.workers.size(); ++wi) {
+      WorkerView& wv = fleet.workers[wi];
       if (!wv.alive || !wv.busy) continue;
-      auto r = rpc(run, wi, "GET", "/shard/status", "");
+      auto r = rpc(fleet, wi, "GET", "/shard/status", "");
       if (!r.ok()) {
-        if (wv.failures >= run.copts.max_rpc_failures) {
-          mark_dead(run, wi, "status poll failed");
-          if (auto st = reassign_from(run, wi); !st.is_ok()) return st;
+        if (wv.failures >= fleet.copts.max_rpc_failures) {
+          mark_dead(fleet, wi, "status poll failed");
+          if (auto st = reassign_from(fleet, wi); !st.is_ok()) return st;
         }
         continue;
       }
       auto doc = util::parse_json(r->body);
       if (!doc.ok() || !doc->is_object()) {
-        mark_dead(run, wi, "malformed status reply");
-        if (auto st = reassign_from(run, wi); !st.is_ok()) return st;
+        mark_dead(fleet, wi, "malformed status reply");
+        if (auto st = reassign_from(fleet, wi); !st.is_ok()) return st;
         continue;
       }
       const auto* state = doc->find("state");
       const std::string s = state != nullptr && state->is_string() ? state->as_string() : "";
       if (s == "busy") continue;
       if (s != "done") {
-        mark_dead(run, wi, ("unexpected worker state '" + s + "'").c_str());
-        if (auto st = reassign_from(run, wi); !st.is_ok()) return st;
+        mark_dead(fleet, wi, ("unexpected worker state '" + s + "'").c_str());
+        if (auto st = reassign_from(fleet, wi); !st.is_ok()) return st;
         continue;
       }
       if (const auto* pe = doc->find("pass_error"); pe != nullptr) {
@@ -363,16 +354,16 @@ util::Status run_pass(Run& run, const std::vector<std::string>& labels, std::siz
       }
       const auto* cks = doc->find("checkpoints");
       if (cks == nullptr || !cks->is_array() || cks->items().size() != wv.inflight.size()) {
-        mark_dead(run, wi, "malformed pass result");
-        if (auto st = reassign_from(run, wi); !st.is_ok()) return st;
+        mark_dead(fleet, wi, "malformed pass result");
+        if (auto st = reassign_from(fleet, wi); !st.is_ok()) return st;
         continue;
       }
       bool ok = true;
       for (const auto& item : cks->items()) {
         synth::BucketCheckpoint ck;
         if (auto st = bucket_checkpoint_from_json(item, &ck); !st.is_ok()) {
-          mark_dead(run, wi, ("undecodable checkpoint: " + st.to_string()).c_str());
-          if (auto rst = reassign_from(run, wi); !rst.is_ok()) return rst;
+          mark_dead(fleet, wi, ("undecodable checkpoint: " + st.to_string()).c_str());
+          if (auto rst = reassign_from(fleet, wi); !rst.is_ok()) return rst;
           ok = false;
           break;
         }
@@ -389,12 +380,12 @@ util::Status run_pass(Run& run, const std::vector<std::string>& labels, std::siz
 
 // Sum the workers' cumulative cache tallies (best effort: a dead worker's
 // counts are simply absent — the stats are observability, not results).
-void poll_cache_tallies(Run& run, std::uint64_t* hits, std::uint64_t* misses) {
+void poll_cache_tallies(Fleet& fleet, std::uint64_t* hits, std::uint64_t* misses) {
   *hits = 0;
   *misses = 0;
-  for (std::size_t wi = 0; wi < run.workers.size(); ++wi) {
-    if (!run.workers[wi].alive) continue;
-    auto r = rpc(run, wi, "GET", "/shard/status", "");
+  for (std::size_t wi = 0; wi < fleet.workers.size(); ++wi) {
+    if (!fleet.workers[wi].alive) continue;
+    auto r = rpc(fleet, wi, "GET", "/shard/status", "");
     if (!r.ok()) continue;
     auto doc = util::parse_json(r->body);
     if (!doc.ok()) continue;
@@ -410,328 +401,59 @@ void poll_cache_tallies(Run& run, std::uint64_t* hits, std::uint64_t* misses) {
   }
 }
 
-std::string expr_text(const dsl::ExprPtr& e) { return e ? dsl::to_string(*e) : std::string(); }
-
-// The distributed twin of synth::synthesize(): same control flow, with the
-// per-bucket passes executed by workers and merged from their checkpoints.
-synth::SynthesisResult distributed_synthesize(Run& run, const api::JobSpec& spec) {
-  util::Stopwatch total_clock;
-  synth::SynthesisResult result;
-  const synth::SynthesisOptions& opts = run.opts;
-
-  util::DeadlineWatchdog watchdog(run.tok, opts.timeout_s);
-  auto interrupted = [&] { return run.tok->cancelled(); };
-  auto mark_interrupted = [&] {
-    result.partial = true;
-    result.timed_out = run.tok->reason() == util::StatusCode::kTimeout;
-    result.status =
-        util::Status(run.tok->reason(), "synthesis interrupted; returning best-so-far");
-  };
-
-  result.initial_buckets = run.buckets.size();
-
-  const auto seg_distance = [&](const trace::Segment& a, const trace::Segment& b) {
-    return distance::compute(opts.metric, synth::observed_series_pkts(a),
-                             synth::observed_series_pkts(b), opts.dopts);
-  };
-  trace::SegmentSampler sampler(&run.segments, seg_distance, opts.seed ^ 0x5e95a1d3);
-
-  std::vector<synth::ScoredHandler> candidates;
-  synth::ScoredHandler best;
-
-  int n = opts.initial_samples;
-  int k = opts.initial_keep;
-  std::vector<std::size_t> live(run.buckets.size());
-  for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
-
-  // --- Checkpoint restore (single-process file format, so a job resumes
-  // interchangeably under synthesize() or the coordinator). ----------------
-  int start_iter = 0;
-  bool resumed = false;
-  if (opts.resume && !opts.checkpoint_path.empty()) {
-    auto loaded = synth::load_checkpoint(opts.checkpoint_path);
-    if (!loaded.ok() && loaded.status().code() == util::StatusCode::kIoError) {
-      ABG_INFO("no checkpoint at %s; starting fresh", opts.checkpoint_path.c_str());
-    } else if (!loaded.ok()) {
-      result.status = loaded.status().with_context("resume");
-      return result;
-    } else {
-      const synth::Checkpoint& ck = *loaded;
-      if (ck.pool_fingerprint != run.pool_fingerprint || ck.seed != opts.seed) {
-        result.status = util::Status(util::StatusCode::kInvalidTrace,
-                                     "checkpoint was written for a different segment pool or seed");
-        return result;
-      }
-      bool consistent = ck.buckets.size() == run.buckets.size();
-      for (std::size_t idx : ck.live) consistent = consistent && idx < run.buckets.size();
-      auto restore_scored = [&](const synth::ScoredHandlerCheckpoint& c) {
-        auto r = synth::parse_scored_handler(c.distance, c.sketch, c.handler);
-        if (!r.ok()) {
-          consistent = false;
-          return synth::ScoredHandler{};
-        }
-        return *r;
-      };
-      for (const auto& bc : ck.buckets) {
-        auto it = run.bucket_index.find(bc.label);
-        if (it == run.bucket_index.end()) {
-          consistent = false;
-          break;
-        }
-        run.committed[it->second] = bc;
-      }
-      best = restore_scored(ck.best);
-      for (const auto& c : ck.candidates) candidates.push_back(restore_scored(c));
-      if (!consistent) {
-        result.status = util::Status(util::StatusCode::kParseError,
-                                     "corrupted checkpoint " + opts.checkpoint_path);
-        return result;
-      }
-      start_iter = ck.next_iter;
-      n = ck.n;
-      k = ck.k;
-      live = ck.live;
-      result.iterations = ck.iterations;
-      sampler.restore(ck.sampler_selected, ck.sampler_rng);
-      resumed = true;
-      ABG_INFO("resumed from %s at iteration %d (%zu live buckets)",
-               opts.checkpoint_path.c_str(), start_iter, live.size());
-    }
+util::Status Fleet::load(const std::vector<synth::BucketCheckpoint>& states) {
+  committed = states;
+  for (std::size_t b = 0; b < committed.size(); ++b) {
+    bucket_index[committed[b].label] = b;
+    owner.push_back(b % workers.size());
   }
-  if (!resumed) sampler.grow_to(static_cast<std::size_t>(opts.initial_segments));
-
-  auto save_state = [&](int next_iter) {
-    synth::Checkpoint ck;
-    ck.pool_fingerprint = run.pool_fingerprint;
-    ck.seed = opts.seed;
-    ck.next_iter = next_iter;
-    ck.n = n;
-    ck.k = k;
-    ck.best = {best.distance, expr_text(best.sketch), expr_text(best.handler)};
-    ck.sampler_rng = sampler.rng_state();
-    ck.sampler_selected = sampler.selected();
-    ck.live = live;
-    ck.buckets = run.committed;
-    for (const auto& c : candidates) {
-      ck.candidates.push_back({c.distance, expr_text(c.sketch), expr_text(c.handler)});
-    }
-    ck.iterations = result.iterations;
-    if (auto st = synth::save_checkpoint(ck, opts.checkpoint_path); !st.is_ok()) {
-      ABG_WARN("checkpoint save failed: %s", st.to_string().c_str());
-    }
-  };
-
-  // --- Ship the job to the workers. ----------------------------------------
-  for (std::size_t wi = 0; wi < run.workers.size(); ++wi) {
-    if (auto st = load_worker(run, wi); !st.is_ok()) {
+  for (std::size_t wi = 0; wi < workers.size(); ++wi) {
+    if (auto st = load_worker(*this, wi); !st.is_ok()) {
       if (st.code() == util::StatusCode::kInvalidTrace ||
           st.code() == util::StatusCode::kUnknown || st.code() == util::StatusCode::kParseError) {
         // A worker that answers wrongly is a configuration error, not a
         // crash to route around.
-        result.status = st;
-        return result;
+        return st;
       }
-      mark_dead(run, wi, "load failed");
+      mark_dead(*this, wi, "load failed");
     }
   }
-  if (alive_count(run) == 0) {
-    result.status = util::Status(util::StatusCode::kIoError, "no worker accepted the job");
-    return result;
+  if (alive_count(*this) == 0) {
+    return util::Status(util::StatusCode::kIoError, "no worker accepted the job");
   }
   // Buckets owned by workers that died during load move to survivors (the
   // committed state is still fresh, so restore-at-iterate is cheap).
-  for (std::size_t b = 0; b < run.buckets.size(); ++b) {
-    if (!run.workers[run.owner[b]].alive) {
-      run.owner[b] = least_loaded_alive(run);
-    }
+  for (std::size_t b = 0; b < committed.size(); ++b) {
+    if (!workers[owner[b]].alive) owner[b] = least_loaded_alive(*this);
   }
-  obs::gauge("dist.workers").set(static_cast<double>(alive_count(run)));
+  obs::gauge("dist.workers").set(static_cast<double>(alive_count(*this)));
+  return util::Status::ok();
+}
 
-  // Merge one pass's checkpoints: commit, fold bucket bests into candidates
-  // and the global best. Processed in the caller's label order (live order),
-  // which the strict-< update makes deterministic.
-  auto merge = [&](const std::vector<std::string>& labels,
-                   const std::map<std::string, synth::BucketCheckpoint>& outcome) -> util::Status {
-    for (const auto& label : labels) {
-      const auto it = outcome.find(label);
-      if (it == outcome.end()) {
-        return util::Status(util::StatusCode::kUnknown, "pass result missing bucket " + label);
-      }
-      const synth::BucketCheckpoint& ck = it->second;
-      run.committed[run.bucket_index.at(label)] = ck;
-      if (!ck.best_handler.empty()) {
-        auto parsed = synth::parse_scored_handler(ck.best_distance, ck.best_sketch,
-                                                  ck.best_handler);
-        if (!parsed.ok()) return parsed.status().with_context("bucket " + label);
-        if (parsed->valid()) {
-          if (parsed->distance < best.distance) best = *parsed;
-          candidates.push_back(*parsed);
-        }
-      }
-    }
-    return util::Status::ok();
-  };
-
-  static auto& c_iters = obs::counter("synth.iterations");
-
-  // --- The refinement loop (Algorithm 1), pass execution remoted. ----------
-  for (int iter = start_iter; iter < opts.max_iterations; ++iter) {
-    if (live.empty()) break;
-    if (iter > start_iter && interrupted()) {
-      mark_interrupted();
-      break;
-    }
-    util::Stopwatch iter_clock;
-    c_iters.add();
-
-    std::vector<std::size_t> working = sampler.selected();
-    // Tiny pools: the single-process loop falls back to the whole pool; an
-    // empty index list means exactly that to ShardEngine::run_pass.
-
-    std::vector<std::string> live_labels;
-    for (std::size_t idx : live) live_labels.push_back(run.buckets[idx].label);
-    std::map<std::string, synth::BucketCheckpoint> outcome;
-    if (auto st = run_pass(run, live_labels, static_cast<std::size_t>(n), working, &outcome);
-        !st.is_ok()) {
-      if (st.code() == util::StatusCode::kCancelled || st.code() == util::StatusCode::kTimeout) {
-        mark_interrupted();
-        break;
-      }
-      result.status = st;
-      return result;
-    }
-    if (auto st = merge(live_labels, outcome); !st.is_ok()) {
-      result.status = st;
-      return result;
-    }
-
-    // Rank buckets by score — same comparator over the same values as the
-    // single-process sort (distances round-trip bit-exactly over the wire).
-    std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
-      return run.committed[a].best_distance < run.committed[b].best_distance;
-    });
-
-    synth::IterationReport report;
-    report.n_target = n;
-    report.keep = k;
-    report.segments_used = working.empty() ? run.segments.size() : working.size();
-    for (std::size_t idx : live) {
-      synth::BucketReport br;
-      br.label = run.buckets[idx].label;
-      br.score = run.committed[idx].best_distance;
-      br.sketches_enumerated = run.committed[idx].sketches;
-      br.handlers_scored = run.committed[idx].handlers_scored;
-      br.exhausted = run.committed[idx].exhausted;
-      report.buckets.push_back(std::move(br));
-    }
-
-    if (static_cast<std::size_t>(k) < live.size()) {
-      const double kth = run.committed[live[static_cast<std::size_t>(k) - 1]].best_distance;
-      std::size_t cut = live.size();
-      for (std::size_t i = static_cast<std::size_t>(k); i < live.size(); ++i) {
-        if (run.committed[live[i]].best_distance > kth) {
-          cut = i;
-          break;
-        }
-      }
-      live.resize(cut);
-    }
-    for (auto& br : report.buckets) {
-      br.retained = std::any_of(live.begin(), live.end(), [&](std::size_t idx) {
-        return run.buckets[idx].label == br.label;
-      });
-    }
-    report.seconds = iter_clock.elapsed_seconds();
-    report.best_distance = best.distance;
-    poll_cache_tallies(run, &report.cache_hits, &report.cache_misses);
-    result.iterations.push_back(std::move(report));
-    if (spec.on_iteration) spec.on_iteration(result.iterations.back());
-
-    ABG_INFO("dist iter %d: %zu buckets live, N=%d, best=%.3f (%zu workers, %zu reassigned)",
-             iter, live.size(), n, best.distance, alive_count(run), run.reassigned);
-
-    if (interrupted()) {
-      mark_interrupted();
-      break;
-    }
-
-    const bool all_done = std::all_of(live.begin(), live.end(), [&](std::size_t idx) {
-      return run.committed[idx].exhausted;
-    });
-    if (all_done) break;
-
-    // Terminal exhaustive phase: one bucket left (§4.4).
-    if (live.size() == 1) {
-      std::map<std::string, synth::BucketCheckpoint> final_outcome;
-      const std::vector<std::string> final_labels{run.buckets[live[0]].label};
-      if (auto st = run_pass(run, final_labels, opts.exhaustive_cap, sampler.selected(),
-                             &final_outcome);
-          !st.is_ok()) {
-        if (st.code() == util::StatusCode::kCancelled ||
-            st.code() == util::StatusCode::kTimeout) {
-          mark_interrupted();
-          break;
-        }
-        result.status = st;
-        return result;
-      }
-      if (auto st = merge(final_labels, final_outcome); !st.is_ok()) {
-        result.status = st;
-        return result;
-      }
-      break;
-    }
-
-    n *= opts.sample_growth;
-    k = std::max(k / 2, 1);
-    sampler.grow_to(sampler.selected().size() + 2);
-
-    if (!opts.checkpoint_path.empty()) save_state(iter + 1);
+util::Result<std::vector<synth::BucketOutcome>> Fleet::run_pass(const synth::PassRequest& req) {
+  std::map<std::string, synth::BucketCheckpoint> by_label;
+  if (auto st = dispatch_pass(*this, req.labels, req.target, req.working, req.cancel, &by_label);
+      !st.is_ok()) {
+    return st;
   }
-
-  result.best = best;
-
-  // --- Final validation (§3.2), coordinator-local. Sequential, but the
-  // winner matches the single-process parallel version: a candidate
-  // abandoned against the running winner's distance is at or above the final
-  // minimum either way. -----------------------------------------------------
-  if (!result.partial && !candidates.empty() && !run.segments.empty()) {
-    static auto& c_validated = obs::counter("synth.candidates_validated");
-    sampler.grow_to(opts.final_validation_segments);
-    std::vector<trace::Segment> validation;
-    for (std::size_t idx : sampler.selected()) validation.push_back(run.segments[idx]);
-    std::vector<synth::ScoredHandler> unique;
-    std::vector<std::size_t> hashes;
-    for (const auto& c : candidates) {
-      if (!c.handler) continue;
-      const std::size_t h = dsl::hash_expr(*c.handler);
-      if (std::find(hashes.begin(), hashes.end(), h) != hashes.end()) continue;
-      hashes.push_back(h);
-      unique.push_back(c);
+  std::vector<synth::BucketOutcome> out;
+  out.reserve(req.labels.size());
+  for (const auto& label : req.labels) {
+    const auto it = by_label.find(label);
+    if (it == by_label.end()) {
+      return util::Status(util::StatusCode::kUnknown, "pass result missing bucket " + label);
     }
-    result.candidates_validated = unique.size();
-    c_validated.add(unique.size());
-    synth::ScoredHandler winner;
-    for (const auto& cand : unique) {
-      const double cutoff =
-          opts.early_abandon ? winner.distance : std::numeric_limits<double>::infinity();
-      const double d =
-          synth::total_distance(*cand.handler, validation, opts.metric, opts.dopts, {}, cutoff);
-      if (d < winner.distance) {
-        winner = cand;
-        winner.distance = d;
-      }
-    }
-    if (winner.valid()) result.best = winner;
+    const synth::BucketCheckpoint& ck = it->second;
+    committed[bucket_index.at(label)] = ck;
+    auto best = synth::parse_scored_handler(ck.best_distance, ck.best_sketch, ck.best_handler);
+    if (!best.ok()) return best.status().with_context("bucket " + label);
+    out.push_back({ck, std::move(*best)});
   }
+  return out;
+}
 
-  for (const auto& ck : run.committed) {
-    result.total_sketches += ck.sketches;
-    result.total_handlers_scored += ck.handlers_scored;
-  }
-  poll_cache_tallies(run, &result.cache_hits, &result.cache_misses);
-  result.seconds = total_clock.elapsed_seconds();
-  return result;
+void Fleet::cache_tallies(std::uint64_t* hits, std::uint64_t* misses) {
+  poll_cache_tallies(*this, hits, misses);
 }
 
 }  // namespace
@@ -809,95 +531,37 @@ api::JobResult Coordinator::run(const api::JobSpec& spec,
   }
   if (auto st = spec.validate(); !st.is_ok()) return fail(st);
 
-  // --- Front half of the pipeline, coordinator-local (mirrors
-  // api::Engine::run_job + core::Abagnale::run). ----------------------------
-  std::vector<trace::Trace> traces;
-  for (const auto& path : spec.trace_paths) {
-    auto t = trace::load_csv(path, spec.load);
-    if (!t.ok()) return fail(t.status().with_context(path));
-    traces.push_back(std::move(*t));
-  }
+  auto traces = api::load_job_traces(spec);
+  if (!traces.ok()) return fail(traces.status());
 
+  // The pipeline runs here exactly as in api::Engine — same DSL choice, same
+  // segment pool, same refinement driver, same obs labels — except that the
+  // driver's bucket passes go to the worker fleet.
   core::PipelineOptions popts = spec.pipeline;
-  std::string dsl_name;
-  if (popts.dsl_override) {
-    dsl_name = *popts.dsl_override;
-  } else {
-    classify::Classifier classifier(popts.classifier);
-    out.pipeline.classification = classifier.classify(traces);
-    dsl_name = core::dsl_for_classification(out.pipeline.classification);
-  }
-  out.pipeline.dsl_name = dsl_name;
-
-  std::vector<trace::Trace> steady;
-  steady.reserve(traces.size());
-  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, popts.warmup_s));
-  std::vector<trace::Segment> segments =
-      trace::segment_all(steady, popts.min_segment_samples, popts.skip_first_segment);
-  out.pipeline.segments_total = segments.size();
-  out.segments_total = segments.size();
-
-  synth::SynthesisOptions opts = popts.synth;
-  if (auto st = opts.validate(); !st.is_ok()) {
-    return fail(st.with_context("SynthesisOptions"));
-  }
-  opts.dopts = synth::effective_distance_options(opts);
-
-  util::CancellationToken tok(cancel);
-
-  Run run(opts_);
-  run.opts = opts;
-  run.dsl = dsl::dsl_by_name(dsl_name);
-  run.segments = std::move(segments);
-  run.pool_fingerprint = synth::segment_set_fingerprint(run.segments);
-  run.tok = &tok;
-  for (const auto& ep : opts_.workers) {
-    WorkerView wv;
-    wv.ep = ep;
-    run.workers.push_back(std::move(wv));
-  }
-  run.buckets = synth::make_buckets(run.dsl);
-  for (std::size_t b = 0; b < run.buckets.size(); ++b) {
-    run.bucket_index[run.buckets[b].label] = b;
-    synth::BucketCheckpoint ck;
-    ck.label = run.buckets[b].label;
-    ck.rng = util::Rng(synth::bucket_rng_seed(ck.label, opts.seed)).state();
-    run.committed.push_back(std::move(ck));
-    run.owner.push_back(b % run.workers.size());
-  }
-
-  // Ship the spec with the DSL resolved (workers never classify) and the
-  // coordinator-owned knobs stripped.
-  api::JobSpec worker_spec = spec;
-  worker_spec.pipeline.dsl_override = dsl_name;
-  worker_spec.pipeline.synth.checkpoint_path.clear();
-  worker_spec.pipeline.synth.resume = false;
-  worker_spec.on_iteration = nullptr;
-  worker_spec.on_complete = nullptr;
-  run.spec_json = api::spec_to_json(worker_spec);
-
-  out.pipeline.synthesis = distributed_synthesize(run, spec);
-  obs::gauge("dist.workers").set(static_cast<double>(alive_count(run)));
-  obs::gauge("dist.shards_reassigned_last_job").set(static_cast<double>(run.reassigned));
-
-  out.status = out.pipeline.synthesis.status;
-  out.cache_hits = out.pipeline.synthesis.cache_hits;
-  out.cache_misses = out.pipeline.synthesis.cache_misses;
+  popts.synth.cancel = cancel;
+  popts.synth.obs_labels = api::job_obs_labels(spec);
+  popts.synth.on_iteration = spec.on_iteration;
+  out.pipeline = core::Abagnale(popts).run(
+      *traces, [&](const dsl::Dsl& d, const std::vector<trace::Segment>& segments,
+                   const synth::SynthesisOptions& opts) {
+        // Workers rebuild the pool from the spec with the DSL resolved (they
+        // never classify); the load reply's fingerprint cross-checks it.
+        api::JobSpec worker_spec = spec;
+        worker_spec.pipeline.dsl_override = d.name;
+        Fleet fleet(opts_, synth::segment_set_fingerprint(segments),
+                    api::spec_to_json(worker_spec));
+        synth::SynthesisResult r = synth::run_refinement(d, segments, opts, fleet);
+        obs::gauge("dist.workers").set(static_cast<double>(alive_count(fleet)));
+        obs::gauge("dist.shards_reassigned_last_job").set(static_cast<double>(fleet.reassigned));
+        return r;
+      });
+  api::summarize_pipeline(&out);
   out.seconds = clock.elapsed_seconds();
   // Wall-clock of the last distributed job, for scaling gates: CI runs the
   // same job on 1 worker and N workers and feeds the two metrics snapshots
   // to `abg_report --gate dist.job_seconds_last.last=0` (N-worker must not
   // be slower).
   obs::gauge("dist.job_seconds_last").set(out.seconds);
-
-  const auto& iters = out.pipeline.synthesis.iterations;
-  out.convergence.clear();
-  out.convergence.reserve(iters.size());
-  double wall_ms = 0.0;
-  for (std::size_t i = 0; i < iters.size(); ++i) {
-    wall_ms += iters[i].seconds * 1000.0;
-    out.convergence.push_back({static_cast<int>(i), iters[i].best_distance, wall_ms});
-  }
   return out;
 }
 

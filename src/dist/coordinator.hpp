@@ -1,17 +1,19 @@
-// The coordinator half of distributed refinement search (ISSUE 9). Splits
-// one synthesis job into bucket shards, farms the per-iteration passes to N
-// abagnale_worker processes over HTTP, and merges the per-shard results with
-// the exact strict-< / tie-break rules of the single-process loop, so the
-// distributed winner is bit-identical to synth::synthesize() on one machine.
+// The coordinator half of distributed refinement search (ISSUE 9). A job
+// runs the one refinement driver (synth::run_refinement) exactly as an
+// in-process job does; only the driver's per-bucket passes go to N
+// abagnale_worker processes over HTTP, through the remote pass executor in
+// coordinator.cpp. Checkpoints, ranking, top-k, N/k growth, the terminal
+// phase, final validation, the deadline and fault hooks, and the per-run
+// metrics are the driver's, so the distributed winner is bit-identical to
+// synth::synthesize() on one machine because it is the same code.
 //
-// Control flow per refinement iteration:
+// The remote executor, per pass:
 //   1. group the live buckets by owning worker (round-robin at job start),
 //   2. POST /shard/iterate to every group's worker (202 + background pass),
 //   3. poll GET /shard/status until every group reports its post-pass
 //      BucketCheckpoints,
-//   4. merge: update the committed per-bucket state, fold bucket bests into
-//      the candidate set and the global best (strict <, bucket order),
-//      rank + top-k cut + N/k growth exactly as synthesize() does.
+//   4. return them (and the best handler parsed from each) in the driver's
+//      label order.
 //
 // Fault tolerance: every bucket's committed state is the checkpoint from its
 // last *completed* pass. When a worker stops answering (max_rpc_failures
@@ -23,12 +25,10 @@
 // final winner is unchanged. A worker once declared dead is never reused —
 // a slow-but-alive straggler holds state the coordinator no longer trusts.
 //
-// The coordinator also owns everything durable and everything global: trace
-// loading + classification + segmentation (workers rebuild the segment pool
-// from the spec and the coordinator cross-checks the fingerprint), the
-// single-process-format checkpoint file (so `--resume` moves a job between
-// distributed and local execution), the deadline watchdog, and the final
-// validation re-ranking.
+// Before the driver starts, Coordinator::run loads the traces, picks the DSL
+// and builds the segment pool with the code core::Abagnale::run uses;
+// workers rebuild the pool from the spec and the coordinator cross-checks
+// its fingerprint.
 #pragma once
 
 #include <cstdint>

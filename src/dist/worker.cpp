@@ -3,12 +3,11 @@
 #include <utility>
 
 #include "api/manifest.hpp"
+#include "core/abagnale.hpp"
 #include "dist/wire.hpp"
 #include "dsl/dsl.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
-#include "trace/trace.hpp"
-#include "trace/trace_io.hpp"
 #include "util/json_parse.hpp"
 #include "util/log.hpp"
 
@@ -141,26 +140,12 @@ obs::HttpResponse Worker::handle_load(const obs::HttpRequest& req) {
   }
   join_pass_locked();
 
-  // Rebuild the segment pool exactly as the single-process pipeline front
-  // half does: load, trim warm-up, segment, pool (core::Abagnale order).
-  std::vector<trace::Trace> traces;
-  for (const auto& path : spec.trace_paths) {
-    auto t = trace::load_csv(path, spec.load);
-    if (!t.ok()) return status_error(400, t.status().with_context(path));
-    traces.push_back(std::move(*t));
-  }
-  std::vector<trace::Trace> steady;
-  steady.reserve(traces.size());
-  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, spec.pipeline.warmup_s));
-  std::vector<trace::Segment> segments = trace::segment_all(
-      steady, spec.pipeline.min_segment_samples, spec.pipeline.skip_first_segment);
-
-  synth::SynthesisOptions opts = spec.pipeline.synth;
-  opts.checkpoint_path.clear();  // the coordinator owns durability
-  opts.resume = false;
-
+  auto traces = api::load_job_traces(spec);
+  if (!traces.ok()) return status_error(400, traces.status());
+  engine_.reset();
+  segments_ = core::build_segment_pool(*traces, spec.pipeline);
   engine_ = std::make_unique<synth::ShardEngine>(dsl::dsl_by_name(*spec.pipeline.dsl_override),
-                                                 std::move(segments), opts);
+                                                 segments_, spec.pipeline.synth);
   for (const auto& label : labels) {
     // Fresh start unless the coordinator supplied a state for this label.
     bool adopted = false;
@@ -185,14 +170,14 @@ obs::HttpResponse Worker::handle_load(const obs::HttpRequest& req) {
   static auto& c_loads = obs::counter("dist.worker.loads");
   c_loads.add();
   ABG_INFO("shard loaded: epoch=%llu, %zu buckets, %zu segments",
-           static_cast<unsigned long long>(epoch_), labels.size(), engine_->segment_count());
+           static_cast<unsigned long long>(epoch_), labels.size(), segments_.size());
 
   obs::JsonWriter w;
   w.begin_object();
   w.key("pool_fingerprint");
-  write_u64(w, engine_->pool_fingerprint());
+  write_u64(w, synth::segment_set_fingerprint(segments_));
   w.key("segments");
-  w.value(static_cast<std::uint64_t>(engine_->segment_count()));
+  w.value(static_cast<std::uint64_t>(segments_.size()));
   w.key("epoch");
   w.value(epoch_);
   w.end_object();
@@ -246,12 +231,16 @@ obs::HttpResponse Worker::handle_iterate(const obs::HttpRequest& req) {
   pass_id_ = pass_id;
   pass_result_.clear();
   pass_status_ = util::Status::ok();
-  pass_thread_ = std::thread([this, labels = std::move(labels), target,
-                              working = std::move(working)] {
-    auto r = engine_->run_pass(labels, static_cast<std::size_t>(target), working, &cancel_);
+  synth::PassRequest pass;
+  pass.labels = std::move(labels);
+  pass.target = static_cast<std::size_t>(target);
+  pass.working = std::move(working);
+  pass.cancel = &cancel_;
+  pass_thread_ = std::thread([this, pass = std::move(pass)] {
+    auto r = engine_->run_pass(pass);
     std::lock_guard inner(mu_);
     if (r.ok()) {
-      pass_result_ = std::move(*r);
+      for (auto& o : *r) pass_result_.push_back(std::move(o.checkpoint));
       pass_status_ = util::Status::ok();
     } else {
       pass_status_ = r.status();
@@ -295,10 +284,12 @@ obs::HttpResponse Worker::handle_status(const obs::HttpRequest&) {
   w.key("pass_id");
   w.value(pass_id_);
   if (engine_ != nullptr) {
+    std::uint64_t hits = 0, misses = 0;
+    engine_->cache_tallies(&hits, &misses);
     w.key("cache_hits");
-    write_u64(w, engine_->cache_hits());
+    write_u64(w, hits);
     w.key("cache_misses");
-    write_u64(w, engine_->cache_misses());
+    write_u64(w, misses);
   }
   if (state_ == State::kDone) {
     if (pass_status_.is_ok()) {

@@ -3,11 +3,12 @@
 // StatusServer's HTTP plumbing:
 //
 //   POST /shard/load     {epoch, spec, buckets, states}  build the engine:
-//                        load the spec's traces, trim + segment them exactly
-//                        as the single-process pipeline would, adopt the
-//                        given bucket states. Replies with the segment-pool
-//                        fingerprint so the coordinator can verify both
-//                        sides derived the same pool.
+//                        load the spec's traces, build the segment pool with
+//                        core::build_segment_pool, adopt the given bucket
+//                        states (fresh ones for labels without a state).
+//                        Replies with the segment-pool fingerprint so the
+//                        coordinator can verify both sides derived the same
+//                        pool.
 //   POST /shard/iterate  {epoch, pass_id, target, buckets, working}  start
 //                        one refinement pass in the background; replies 202
 //                        immediately (the status server is single-threaded,
@@ -69,6 +70,7 @@ class Worker {
   State state_ = State::kEmpty;
   std::uint64_t epoch_ = 0;
   std::uint64_t pass_id_ = 0;
+  std::vector<trace::Segment> segments_;  // the loaded job's pool; outlives engine_
   std::unique_ptr<synth::ShardEngine> engine_;
   std::thread pass_thread_;
   bool pass_joinable_ = false;

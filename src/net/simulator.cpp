@@ -119,6 +119,9 @@ class Connection {
       for (std::int64_t s = last_ack_; s < ack; ++s) send_time_.erase(s);
       tracker_.on_delivery(acked_bytes, now);
       last_ack_ = ack;
+      // After an RTO's go-back-N, ACKs for segments sent before the timeout
+      // can overtake the resend point; never resend what is already acked.
+      next_seq_ = std::max(next_seq_, ack);
       last_progress_time_ = now;
       dup_count_ = 0;
       if (in_recovery_ && ack >= recover_seq_) in_recovery_ = false;

@@ -5,10 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -552,24 +554,34 @@ void Service::dispatch_one(const std::string& id) {
 // (running record, terminal record, cancel) is byte-for-byte the local one.
 void Service::dispatch_distributed(const std::string& id, api::JobSpec spec) {
   auto tok = std::make_shared<util::CancellationToken>();
+  auto finished = std::make_shared<std::atomic<bool>>(false);
   bool cancel_now = false;
+  std::vector<DistThread> done;
   {
     std::lock_guard lk(mu_);
     ++active_jobs_;
     dist_tokens_[id] = tok;
     cancel_now = cancel_requested_.erase(id) > 0;
+    auto running = std::partition(dist_threads_.begin(), dist_threads_.end(),
+                                  [](const DistThread& t) { return !t.finished->load(); });
+    std::move(running, dist_threads_.end(), std::back_inserter(done));
+    dist_threads_.erase(running, dist_threads_.end());
   }
+  // A finished thread has already recorded its job; joining it never waits
+  // on a search.
+  for (auto& t : done) t.thread.join();
   if (cancel_now) tok->cancel();
-  std::thread th([this, id, tok, spec = std::move(spec)] {
+  std::thread th([this, id, tok, finished, spec = std::move(spec)] {
     const api::JobResult r = coordinator_->run(spec, tok.get());
     {
       std::lock_guard lk(mu_);
       dist_tokens_.erase(id);
     }
     on_job_complete(id, r);
+    finished->store(true);
   });
   std::lock_guard lk(mu_);
-  dist_threads_.push_back(std::move(th));
+  dist_threads_.push_back({std::move(th), std::move(finished)});
 }
 
 void Service::on_job_complete(const std::string& id, const api::JobResult& r) {
@@ -651,15 +663,13 @@ void Service::drain_and_stop() {
     // Distributed jobs park the same way engine jobs do: cancel the
     // coordinator token, let its thread run on_job_complete (kCancelled
     // while draining -> a suspended record), then join.
-    std::vector<std::thread> threads;
+    std::vector<DistThread> threads;
     {
       std::lock_guard lk(mu_);
       for (auto& [id, tok] : dist_tokens_) tok->cancel();
       threads.swap(dist_threads_);
     }
-    for (auto& t : threads) {
-      if (t.joinable()) t.join();
-    }
+    for (auto& t : threads) t.thread.join();
   }
   if (engine_) {
     engine_->cancel_all();
@@ -683,15 +693,13 @@ void Service::abandon_for_test() {
   slot_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   {
-    std::vector<std::thread> threads;
+    std::vector<DistThread> threads;
     {
       std::lock_guard lk(mu_);
       for (auto& [id, tok] : dist_tokens_) tok->cancel();
       threads.swap(dist_threads_);
     }
-    for (auto& t : threads) {
-      if (t.joinable()) t.join();
-    }
+    for (auto& t : threads) t.thread.join();
   }
   if (engine_) {
     engine_->cancel_all();

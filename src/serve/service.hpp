@@ -134,9 +134,15 @@ class Service {
   std::uint64_t next_id_ = 1;
   std::map<std::string, api::JobHandle> handles_;  // running jobs (local engine)
   // Jobs running on the worker fleet: per-job cancellation tokens (DELETE
-  // fires them) and the coordinator threads to join at drain.
+  // fires them) and the coordinator threads. A finished thread is joined at
+  // the next distributed dispatch (so a long-lived daemon does not keep one
+  // stack per finished job), the rest at drain.
   std::map<std::string, std::shared_ptr<util::CancellationToken>> dist_tokens_;
-  std::vector<std::thread> dist_threads_;
+  struct DistThread {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> finished;
+  };
+  std::vector<DistThread> dist_threads_;
   std::set<std::string> cancel_requested_;  // cancel raced dispatch
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <memory>
-#include <mutex>
 
 #include "dsl/parse.hpp"
 #include "dsl/simplify.hpp"
@@ -22,23 +20,10 @@
 #include "util/fault_injection.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace abg::synth {
 
 namespace {
-
-// Per-bucket search state: the shard-able core (synth/shard.hpp, shared with
-// the distributed workers) plus this loop's obs/journal caches.
-struct BucketState : BucketSearchState {
-  // Labeled {job=...,bucket=...} series, resolved on this bucket's first
-  // scoring pass (only when the run carries obs_labels) and cached here so
-  // the scoring path never re-enters the registry mutex.
-  obs::Counter* labeled_scored = nullptr;
-  // Interned journal id of this bucket's label, resolved on first journaled
-  // scoring pass (journal_intern takes a mutex; the id is stable after).
-  std::uint32_t journal_bucket = 0;
-};
 
 // One candidate of the batched scoring window (ISSUE 7). Candidates join
 // the window in enumeration order; cache hits arrive with their distance,
@@ -268,7 +253,7 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
   ConcretizeOptions copts;
   copts.budget = opts.concretize_budget;
   const auto assignments = enumerate_assignments(*sketch, constant_pool, copts, rng);
-  // Journal identity: the sketch stored in BucketState is the enumerator's
+  // Journal identity: the sketch stored in the bucket state is the enumerator's
   // canonical form, so hashing it directly matches the kSketch event the
   // enumerator recorded. Fingerprints then pin each hole assignment.
   const bool jrn = obs::journal_in_scope();
@@ -358,13 +343,13 @@ std::optional<std::pair<std::size_t, std::size_t>> SynthesisResult::bucket_rank(
   return std::nullopt;
 }
 
-SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
-                           const SynthesisOptions& opts_in) {
+SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
+                               const SynthesisOptions& opts_in, PassExecutor& exec) {
   util::Stopwatch total_clock;
   SynthesisResult result;
 
   // Eager options validation (ISSUE 4): a bad knob fails here, before any
-  // enumerator, pool, or checkpoint work, with the field named in the status.
+  // enumerator or checkpoint work, with the field named in the status.
   if (auto st = opts_in.validate(); !st.is_ok()) {
     result.status = st.with_context("SynthesisOptions");
     return result;
@@ -389,15 +374,17 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     result.status = util::Status(tok.reason(), "synthesis interrupted; returning best-so-far");
   };
 
-  // --- Bucketize the space (§4.4). -----------------------------------------
-  std::vector<BucketState> states;
-  for (auto& b : make_buckets(dsl)) {
-    BucketState st;
-    st.bucket = std::move(b);
-    st.rng = util::Rng(bucket_rng_seed(st.bucket.label, opts.seed));
-    states.push_back(std::move(st));
+  // --- Bucketize the space (§4.4). Each bucket's committed state is the
+  // checkpoint of its last completed pass. ----------------------------------
+  const std::vector<Bucket> buckets = make_buckets(dsl);
+  std::vector<BucketCheckpoint> committed;
+  for (const auto& b : buckets) {
+    BucketCheckpoint ck;
+    ck.label = b.label;
+    ck.rng = util::Rng(bucket_rng_seed(b.label, opts.seed)).state();
+    committed.push_back(std::move(ck));
   }
-  result.initial_buckets = states.size();
+  result.initial_buckets = buckets.size();
 
   // --- Segment working set (§3.2). -----------------------------------------
   const auto seg_distance = [&](const trace::Segment& a, const trace::Segment& b) {
@@ -408,133 +395,22 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
   // The initial grow_to happens after the resume block below: a restored
   // sampler already contains its selection and RNG position.
 
-  // Executor: a caller-supplied shared pool (the batch engine's), or a
-  // private one sized by opts.threads for standalone runs.
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool = opts.pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<util::ThreadPool>(
-        opts.threads == 0 ? std::thread::hardware_concurrency() : opts.threads);
-    pool = owned_pool.get();
-  }
   std::vector<ScoredHandler> candidates;  // every bucket-best ever seen
-  // Set by any bucket task that completes a pass with a valid best. The
-  // interrupted-skip inside score_bucket consults it during the first
-  // iteration, before the post-join fold has populated result.best.
-  std::atomic<bool> pass_found{false};
-
-  // One memo cache for the whole run, shared by every bucket and iteration
-  // (pool workers hit different mutex stripes concurrently). Re-scoring a
-  // sketch list under an unchanged working set — the terminal exhaustive
-  // phase, and every iteration once the sampler has consumed its pool —
-  // reuses the exact distances instead of replaying. A caller-supplied
-  // shared_cache extends the reuse across jobs; entries are exact, so this
-  // never changes the result.
-  EvalCache local_cache;
-  EvalCache* cache = opts.shared_cache != nullptr ? opts.shared_cache : &local_cache;
-  std::atomic<std::uint64_t> run_cache_hits{0};
-  std::atomic<std::uint64_t> run_cache_misses{0};
-
   int n = opts.initial_samples;
   int k = opts.initial_keep;
-  std::vector<std::size_t> live(states.size());
+  std::vector<std::size_t> live(buckets.size());
   for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
 
-  // Score every enumerated sketch of `st` against the current segment set;
-  // updates st.best. The caller folds bucket bests into the global best and
-  // the candidate list after the pass joins, in canonical live order —
-  // folding here (task-completion order) would make equal-distance ties
-  // racy and diverge from the distributed coordinator's deterministic
-  // merge. Respects the cancellation token:
-  // once fired (deadline, caller, injected fault), stops enumerating and
-  // scoring but keeps what it has (the loop always returns the best handler
-  // found so far, §4.4).
-  // Journal provenance (ISSUE 6): resolved once per run. The job id comes
-  // from the engine's obs labels ({job=...}); a standalone run journals with
-  // job id 0 (""). The scope is installed inside the scoring task body, so a
-  // pool worker that steals the task self-attributes to this run.
-  const bool journal_run = opts.journal && obs::journal_enabled();
-  std::uint32_t journal_job = 0;
-  if (journal_run) {
-    for (const auto& [key, value] : opts.obs_labels) {
-      if (key == "job") {
-        journal_job = obs::journal_intern(value);
-        break;
-      }
-    }
-  }
-
-  auto score_bucket = [&](BucketState& st, std::size_t target, int iter,
-                          const std::vector<trace::Segment>& working) {
-    obs::TraceSpan span("score " + st.bucket.label, "synth");
-    std::optional<obs::JournalScope> jscope;
-    if (journal_run) {
-      if (st.journal_bucket == 0) st.journal_bucket = obs::journal_intern(st.bucket.label);
-      jscope.emplace(journal_job, st.journal_bucket, static_cast<std::uint32_t>(iter));
-    }
-    if (!opts.obs_labels.empty() && st.labeled_scored == nullptr) {
-      obs::Labels labels = opts.obs_labels;
-      labels.emplace_back("bucket", st.bucket.label);
-      st.labeled_scored = &obs::counter("synth.handlers_scored", labels);
-    }
-    const std::size_t scored_before = st.handlers_scored;
-    // A preempted run that already has a global best skips the remaining
-    // buckets outright — building their enumerators just to honor the
-    // one-sketch-minimum rule below would stretch the deadline by seconds.
-    if (interrupted()) {
-      // result.best is only written between passes (pool joined), so the
-      // read is race-free; pass_found covers bests from the current pass.
-      if (result.best.valid() || pass_found.load(std::memory_order_acquire)) return;
-    }
-    enumerate_bucket_sketches(dsl, opts, st, target, interrupted);
-    // Re-score all sketches under the (possibly grown) segment set, as
-    // Algorithm 1 line 5 does. The pass itself is the shared shard core
-    // (synth/shard.*) so distributed workers run character-for-character the
-    // same search.
-    EvalContext ctx;
-    ctx.cache = opts.use_eval_cache ? cache : nullptr;
-    ctx.fingerprint = opts.use_eval_cache ? segment_set_fingerprint(working) : 0;
-    ctx.cancel = &tok;
-    ctx.cache_hit_tally = &run_cache_hits;
-    ctx.cache_miss_tally = &run_cache_misses;
-    const ScoredHandler bucket_best = score_bucket_pass(dsl, opts, st, working, &ctx, interrupted);
-    if (st.labeled_scored != nullptr) {
-      st.labeled_scored->add(st.handlers_scored - scored_before);
-    }
-    if (jscope && bucket_best.valid() && bucket_best.sketch) {
-      // This iteration's bucket winner (not the run winner: that event
-      // carries kJournalFinal and is recorded after final validation).
-      obs::journal_record_selected(dsl::hash_expr(*bucket_best.sketch),
-                                   bucket_best.fingerprint, bucket_best.distance,
-                                   obs::journal_intern(dsl::to_string(*bucket_best.handler)),
-                                   false);
-    }
-    if (bucket_best.valid()) pass_found.store(true, std::memory_order_release);
-  };
-
-  // Fold one pass's bucket bests into the global best and the candidate
-  // list, in the given (pre-sort) live order — the exact order the
-  // distributed coordinator merges shard checkpoints in — so equal-distance
-  // ties resolve identically in-process and across workers instead of by
-  // task-completion order.
-  auto fold_pass = [&](const std::vector<std::size_t>& order) {
-    for (std::size_t idx : order) {
-      const ScoredHandler& bucket_best = states[idx].best;
-      if (!bucket_best.valid()) continue;
-      if (bucket_best.distance < result.best.distance) result.best = bucket_best;
-      candidates.push_back(bucket_best);
-    }
-    pass_found.store(false, std::memory_order_relaxed);
-  };
-
-  // --- Checkpoint save/restore (ISSUE 3). ----------------------------------
+  // --- Checkpoint save/restore (ISSUE 3). One file format for every
+  // executor, so a job resumes in-process or on a worker fleet alike. -------
+  const std::uint64_t pool_fingerprint =
+      opts.checkpoint_path.empty() ? 0 : segment_set_fingerprint(segments);
   auto expr_text = [](const dsl::ExprPtr& e) { return e ? dsl::to_string(*e) : std::string(); };
   // Serialize the complete loop state so a resumed run is bit-identical to
-  // an uninterrupted one. Called only between iterations, when the pool has
-  // joined, so no lock is needed.
+  // an uninterrupted one. Called only between iterations.
   auto save_state = [&](int next_iter) {
     Checkpoint ck;
-    ck.pool_fingerprint = segment_set_fingerprint(segments);
+    ck.pool_fingerprint = pool_fingerprint;
     ck.seed = opts.seed;
     ck.next_iter = next_iter;
     ck.n = n;
@@ -543,7 +419,7 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     ck.sampler_rng = sampler.rng_state();
     ck.sampler_selected = sampler.selected();
     ck.live = live;
-    for (const auto& st : states) ck.buckets.push_back(bucket_state_to_checkpoint(st));
+    ck.buckets = committed;
     for (const auto& c : candidates) {
       ck.candidates.push_back({c.distance, expr_text(c.sketch), expr_text(c.handler)});
     }
@@ -568,13 +444,22 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
       return result;
     } else {
       const Checkpoint& ck = *loaded;
-      if (ck.pool_fingerprint != segment_set_fingerprint(segments) || ck.seed != opts.seed) {
+      if (ck.pool_fingerprint != pool_fingerprint || ck.seed != opts.seed) {
         result.status = util::Status(util::StatusCode::kInvalidTrace,
                                      "checkpoint was written for a different segment pool or seed");
         return result;
       }
-      bool consistent = ck.buckets.size() == states.size();
-      for (std::size_t idx : ck.live) consistent = consistent && idx < states.size();
+      bool consistent = ck.buckets.size() == buckets.size();
+      for (std::size_t idx : ck.live) consistent = consistent && idx < buckets.size();
+      for (const auto& bc : ck.buckets) {
+        auto it = std::find_if(committed.begin(), committed.end(),
+                               [&](const BucketCheckpoint& c) { return c.label == bc.label; });
+        if (it == committed.end()) {
+          consistent = false;
+          break;
+        }
+        *it = bc;
+      }
       auto restore_scored = [&](const ScoredHandlerCheckpoint& c) {
         auto r = parse_scored_handler(c.distance, c.sketch, c.handler);
         if (!r.ok()) {
@@ -583,29 +468,19 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
         }
         return *r;
       };
-      for (const auto& bc : ck.buckets) {
-        auto it = std::find_if(states.begin(), states.end(), [&](const BucketState& s) {
-          return s.bucket.label == bc.label;
-        });
-        if (it == states.end()) {
-          consistent = false;
-          break;
-        }
-        // Sketches are re-derived, not deserialized: the SMT enumerator is
-        // deterministic, so pulling the recorded count reproduces the list
-        // (bucket_state_from_checkpoint, shared with shard reassignment).
-        if (auto st = bucket_state_from_checkpoint(dsl, opts, bc, &*it); !st.is_ok()) {
-          consistent = false;
-          break;
-        }
+      ScoredHandler best = restore_scored(ck.best);
+      for (const auto& c : ck.candidates) {
+        candidates.push_back(restore_scored(c));
+        // Every candidate is a bucket best that had a handler; final
+        // validation replays each one.
+        consistent = consistent && candidates.back().valid();
       }
-      result.best = restore_scored(ck.best);
-      for (const auto& c : ck.candidates) candidates.push_back(restore_scored(c));
       if (!consistent) {
         result.status = util::Status(util::StatusCode::kParseError,
                                      "corrupted checkpoint " + opts.checkpoint_path);
         return result;
       }
+      result.best = std::move(best);
       start_iter = ck.next_iter;
       n = ck.n;
       k = ck.k;
@@ -618,18 +493,74 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     }
   }
   if (!resumed) sampler.grow_to(static_cast<std::size_t>(opts.initial_segments));
+  // Sketch lists are re-derived, not deserialized: the SMT enumerator is
+  // deterministic, so a resumed bucket re-enumerates its recorded count.
+  if (auto st = exec.load(committed); !st.is_ok()) {
+    result.status = st;
+    return result;
+  }
 
   static auto& c_iters = obs::counter("synth.iterations");
   static auto& h_iter = obs::histogram("synth.iter_us");
+  const bool journal_run = opts.journal && obs::journal_enabled();
 
   // Per-job labeled series (function-local statics would pin the first
   // job's labels; these are resolved once per run instead).
   obs::Counter* c_iters_job = nullptr;
   obs::Gauge* g_best_job = nullptr;
+  std::vector<obs::Counter*> c_scored_bucket;  // {job=...,bucket=...}, on first pass
   if (!opts.obs_labels.empty()) {
     c_iters_job = &obs::counter("synth.iterations", opts.obs_labels);
     g_best_job = &obs::gauge("synth.best_distance", opts.obs_labels);
+    c_scored_bucket.assign(buckets.size(), nullptr);
   }
+
+  // Run one pass over the live buckets and fold it: commit every bucket's
+  // post-pass state, then fold the bucket bests into the global best and the
+  // candidate list in live order — never in completion order, so
+  // equal-distance ties resolve identically however the pass was scheduled.
+  auto run_pass = [&](std::size_t target, int iter) -> util::Status {
+    PassRequest req;
+    for (std::size_t idx : live) req.labels.push_back(buckets[idx].label);
+    req.target = target;
+    req.working = sampler.selected();
+    req.iter = iter;
+    req.have_best = result.best.valid();
+    req.cancel = &tok;
+    auto outcomes = exec.run_pass(req);
+    if (!outcomes.ok()) return outcomes.status();
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      BucketOutcome& o = (*outcomes)[i];
+      BucketCheckpoint& prev = committed[live[i]];
+      if (!c_scored_bucket.empty()) {
+        obs::Counter*& c = c_scored_bucket[live[i]];
+        if (c == nullptr) {
+          obs::Labels labels = opts.obs_labels;
+          labels.emplace_back("bucket", prev.label);
+          c = &obs::counter("synth.handlers_scored", labels);
+        }
+        c->add(o.checkpoint.handlers_scored - prev.handlers_scored);
+      }
+      prev = std::move(o.checkpoint);
+      if (!o.best.valid()) continue;
+      if (o.best.distance < result.best.distance) result.best = o.best;
+      candidates.push_back(std::move(o.best));
+    }
+    return util::Status::ok();
+  };
+  // A failed pass of an interrupted run is the interrupt (a remote pass
+  // aborts with the token's reason); anything else is a hard error.
+  bool failed = false;
+  auto pass_ok = [&](const util::Status& st) {
+    if (st.is_ok()) return true;
+    if (interrupted()) {
+      mark_interrupted();
+    } else {
+      result.status = st;
+      failed = true;
+    }
+    return false;
+  };
 
   for (int iter = start_iter; iter < opts.max_iterations; ++iter) {
     if (live.empty()) break;
@@ -658,41 +589,34 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     iter_args.end_object();
     obs::TraceSpan iter_span("synth.iteration", "synth", iter_args.take());
 
-    std::vector<trace::Segment> working;
-    for (std::size_t idx : sampler.selected()) working.push_back(segments[idx]);
-    if (working.empty()) working = segments;  // tiny pools: use everything
-
     // Parallel bucket scoring (line 3 of Algorithm 1).
-    pool->parallel_for(live.size(), [&](std::size_t i) {
-      score_bucket(states[live[i]], static_cast<std::size_t>(n), iter, working);
-    });
-    fold_pass(live);
+    if (!pass_ok(run_pass(static_cast<std::size_t>(n), iter))) break;
 
     // Rank buckets by score.
     std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
-      return states[a].best.distance < states[b].best.distance;
+      return committed[a].best_distance < committed[b].best_distance;
     });
 
     IterationReport report;
     report.n_target = n;
     report.keep = k;
-    report.segments_used = working.size();
+    report.segments_used = sampler.selected().empty() ? segments.size() : sampler.selected().size();
     for (std::size_t idx : live) {
       BucketReport br;
-      br.label = states[idx].bucket.label;
-      br.score = states[idx].best.distance;
-      br.sketches_enumerated = states[idx].sketches.size();
-      br.handlers_scored = states[idx].handlers_scored;
-      br.exhausted = states[idx].exhausted;
+      br.label = committed[idx].label;
+      br.score = committed[idx].best_distance;
+      br.sketches_enumerated = committed[idx].sketches;
+      br.handlers_scored = committed[idx].handlers_scored;
+      br.exhausted = committed[idx].exhausted;
       report.buckets.push_back(std::move(br));
     }
 
     // only-top-k with ties (§4.4): retain buckets whose score <= k-th score.
     if (static_cast<std::size_t>(k) < live.size()) {
-      const double kth = states[live[static_cast<std::size_t>(k) - 1]].best.distance;
+      const double kth = committed[live[static_cast<std::size_t>(k) - 1]].best_distance;
       std::size_t cut = live.size();
       for (std::size_t i = static_cast<std::size_t>(k); i < live.size(); ++i) {
-        if (states[live[i]].best.distance > kth) {
+        if (committed[live[i]].best_distance > kth) {
           cut = i;
           break;
         }
@@ -701,15 +625,12 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     }
     for (auto& br : report.buckets) {
       br.retained = std::any_of(live.begin(), live.end(), [&](std::size_t idx) {
-        return states[idx].bucket.label == br.label;
+        return committed[idx].label == br.label;
       });
     }
     report.seconds = iter_clock.elapsed_seconds();
-    // Convergence point: the pool has joined, so result.best is settled for
-    // this iteration and the run tallies are quiescent.
     report.best_distance = result.best.distance;
-    report.cache_hits = run_cache_hits.load(std::memory_order_relaxed);
-    report.cache_misses = run_cache_misses.load(std::memory_order_relaxed);
+    exec.cache_tallies(&report.cache_hits, &report.cache_misses);
     if (g_best_job != nullptr) g_best_job->set(report.best_distance);
     result.iterations.push_back(std::move(report));
     // Streamed progress for JobHandle subscribers; runs on this thread so
@@ -729,17 +650,13 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     }
 
     // Stop when every live bucket is already exhausted.
-    const bool all_done = std::all_of(live.begin(), live.end(), [&](std::size_t idx) {
-      return states[idx].exhausted;
-    });
+    const bool all_done = std::all_of(live.begin(), live.end(),
+                                      [&](std::size_t idx) { return committed[idx].exhausted; });
     if (all_done) break;
 
     // Terminal exhaustive phase: one bucket left.
     if (live.size() == 1) {
-      std::vector<trace::Segment> final_working;
-      for (std::size_t idx : sampler.selected()) final_working.push_back(segments[idx]);
-      score_bucket(states[live[0]], opts.exhaustive_cap, iter, final_working);
-      fold_pass(live);
+      pass_ok(run_pass(opts.exhaustive_cap, iter));
       break;
     }
 
@@ -750,6 +667,7 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     // State now describes the start of iteration iter+1 exactly.
     if (!opts.checkpoint_path.empty()) save_state(iter + 1);
   }
+  if (failed) return result;
 
   // --- Final validation: re-rank every candidate on a larger diverse
   // segment sample, so a handler over-fit to the small working set cannot
@@ -762,44 +680,26 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     sampler.grow_to(opts.final_validation_segments);
     std::vector<trace::Segment> validation;
     for (std::size_t idx : sampler.selected()) validation.push_back(segments[idx]);
-    // Deduplicate candidates by rendered handler.
-    std::vector<ScoredHandler> unique;
+    // Each distinct handler once, in candidate order. The running winner's
+    // distance is the abandon bound: a candidate cut off there can never
+    // beat it, so the winner is the first candidate with the minimum
+    // distance, exactly as without the bound.
     std::vector<std::size_t> hashes;
+    ScoredHandler winner;
     for (const auto& c : candidates) {
       const std::size_t h = dsl::hash_expr(*c.handler);
       if (std::find(hashes.begin(), hashes.end(), h) != hashes.end()) continue;
       hashes.push_back(h);
-      unique.push_back(c);
-    }
-    result.candidates_validated = unique.size();
-    c_validated.add(unique.size());
-    std::mutex val_mu;
-    ScoredHandler winner;
-    std::size_t winner_idx = unique.size();
-    pool->parallel_for(unique.size(), [&](std::size_t i) {
-      // Snapshot the winner's distance as the abandon bound: it only ever
-      // shrinks, so a candidate abandoned against a stale value is also at
-      // or above the final minimum and could never have been selected. The
-      // bound sits one ULP above the incumbent so an equal-distance
-      // candidate finishes scoring and reaches the index tie-break below —
-      // abandonment triggers at >= the cutoff.
-      double cutoff = std::numeric_limits<double>::infinity();
-      if (opts.early_abandon) {
-        std::lock_guard lk(val_mu);
-        cutoff = std::nextafter(winner.distance, std::numeric_limits<double>::infinity());
-      }
-      const double d =
-          total_distance(*unique[i].handler, validation, opts.metric, opts.dopts, {}, cutoff);
-      std::lock_guard lk(val_mu);
-      // Deterministic despite completion order: minimum by (distance,
-      // candidate index), which equals the coordinator's sequential
-      // first-wins fold over the same deduplicated candidate list.
-      if (d < winner.distance || (d == winner.distance && i < winner_idx)) {
-        winner = unique[i];
+      const double cutoff =
+          opts.early_abandon ? winner.distance : std::numeric_limits<double>::infinity();
+      const double d = total_distance(*c.handler, validation, opts.metric, opts.dopts, {}, cutoff);
+      if (d < winner.distance) {
+        winner = c;
         winner.distance = d;
-        winner_idx = i;
       }
-    });
+    }
+    result.candidates_validated = hashes.size();
+    c_validated.add(hashes.size());
     if (winner.valid()) result.best = winner;
   }
 
@@ -807,7 +707,7 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
   // (bucket 0 = none, iter = iterations completed) — validation itself is
   // not journaled, so this is the only event past the refinement loop.
   if (journal_run && result.best.valid() && result.best.sketch) {
-    obs::JournalScope scope(journal_job, 0,
+    obs::JournalScope scope(journal_job_id(opts), 0,
                             static_cast<std::uint32_t>(result.iterations.size()));
     obs::journal_record_selected(dsl::hash_expr(*result.best.sketch), result.best.fingerprint,
                                  result.best.distance,
@@ -816,14 +716,25 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     obs::journal_emit_trace_counters();
   }
 
-  for (const auto& st : states) {
-    result.total_sketches += st.sketches.size();
-    result.total_handlers_scored += st.handlers_scored;
+  for (const auto& ck : committed) {
+    result.total_sketches += ck.sketches;
+    result.total_handlers_scored += ck.handlers_scored;
   }
-  result.cache_hits = run_cache_hits.load(std::memory_order_relaxed);
-  result.cache_misses = run_cache_misses.load(std::memory_order_relaxed);
+  exec.cache_tallies(&result.cache_hits, &result.cache_misses);
   result.seconds = total_clock.elapsed_seconds();
   return result;
+}
+
+SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
+                           const SynthesisOptions& opts) {
+  // Validate before the executor builds its pool.
+  if (auto st = opts.validate(); !st.is_ok()) {
+    SynthesisResult result;
+    result.status = st.with_context("SynthesisOptions");
+    return result;
+  }
+  ShardEngine local(dsl, segments, opts);
+  return run_refinement(dsl, segments, opts, local);
 }
 
 }  // namespace abg::synth

@@ -113,9 +113,9 @@ struct SynthesisOptions {
 
   // --- Batch engine hooks (ISSUE 4). None of these change the result; they
   // let abg::api::Engine run many jobs against shared infrastructure.
-  // Non-owning executor. When set, bucket scoring and final validation run on
-  // this pool (shared across jobs by the engine) instead of a fresh per-run
-  // pool; `threads` is then ignored. Must outlive the synthesize() call.
+  // Non-owning executor. When set, bucket scoring runs on this pool (shared
+  // across jobs by the engine) instead of a fresh per-run pool; `threads` is
+  // then ignored. Must outlive the synthesize() call.
   util::ThreadPool* pool = nullptr;
   // Non-owning cross-job memo cache. When set (and use_eval_cache is true),
   // it replaces the per-run cache, so a second job over the same segment
@@ -248,7 +248,8 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
                            std::size_t* handlers_scored = nullptr,
                            EvalContext* ctx = nullptr);
 
-// Run the full refinement loop over the DSL and segment pool.
+// Run the full refinement loop over the DSL and segment pool: the one
+// driver (run_refinement, synth/shard.hpp) over an in-process ShardEngine.
 SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
                            const SynthesisOptions& opts = {});
 

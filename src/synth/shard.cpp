@@ -4,7 +4,9 @@
 #include <thread>
 
 #include "dsl/parse.hpp"
+#include "obs/journal.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace_events.hpp"
 
 namespace abg::synth {
 
@@ -18,6 +20,13 @@ distance::DistanceOptions effective_distance_options(const SynthesisOptions& opt
   distance::DistanceOptions dopts = opts.dopts;
   if (opts.simd != distance::Simd::kAuto) dopts.simd = opts.simd;
   return dopts;
+}
+
+std::uint32_t journal_job_id(const SynthesisOptions& opts) {
+  for (const auto& [key, value] : opts.obs_labels) {
+    if (key == "job") return obs::journal_intern(value);
+  }
+  return 0;
 }
 
 void ensure_bucket_enumerator(const dsl::Dsl& dsl, const SynthesisOptions& opts,
@@ -137,28 +146,29 @@ util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOp
   return util::Status::ok();
 }
 
-ShardEngine::ShardEngine(dsl::Dsl dsl, std::vector<trace::Segment> segments,
+ShardEngine::ShardEngine(dsl::Dsl dsl, const std::vector<trace::Segment>& segments,
                          SynthesisOptions opts)
-    : dsl_(std::move(dsl)), segments_(std::move(segments)), opts_(std::move(opts)) {
+    : dsl_(std::move(dsl)), segments_(segments), opts_(std::move(opts)) {
   opts_.dopts = effective_distance_options(opts_);
-  pool_fingerprint_ = segment_set_fingerprint(segments_);
-  pool_ = std::make_unique<util::ThreadPool>(
-      opts_.threads == 0 ? std::thread::hardware_concurrency() : opts_.threads);
+  pool_ = opts_.pool;
+  if (pool_ == nullptr) {
+    owned_pool_ = std::make_unique<util::ThreadPool>(
+        opts_.threads == 0 ? std::thread::hardware_concurrency() : opts_.threads);
+    pool_ = owned_pool_.get();
+  }
+  // A caller-supplied shared cache extends reuse across jobs; entries are
+  // exact, so sharing never changes a result.
+  cache_ = opts_.shared_cache != nullptr ? opts_.shared_cache : &owned_cache_;
+  journal_ = opts_.journal && obs::journal_enabled();
+  if (journal_) journal_job_ = journal_job_id(opts_);
   for (auto& b : make_buckets(dsl_)) bucket_defs_.emplace(b.label, std::move(b));
 }
 
 util::Status ShardEngine::add_bucket(const std::string& label) {
-  auto it = bucket_defs_.find(label);
-  if (it == bucket_defs_.end()) {
-    return util::Status(util::StatusCode::kInvalidArgument,
-                        "DSL '" + dsl_.name + "' has no bucket '" + label + "'");
-  }
-  BucketSearchState st;
-  st.bucket = it->second;
-  st.rng = util::Rng(bucket_rng_seed(label, opts_.seed));
-  states_.erase(label);
-  states_.emplace(label, std::move(st));
-  return util::Status::ok();
+  BucketCheckpoint fresh;
+  fresh.label = label;
+  fresh.rng = util::Rng(bucket_rng_seed(label, opts_.seed)).state();
+  return adopt_bucket(fresh);
 }
 
 util::Status ShardEngine::adopt_bucket(const BucketCheckpoint& ck) {
@@ -167,7 +177,7 @@ util::Status ShardEngine::adopt_bucket(const BucketCheckpoint& ck) {
     return util::Status(util::StatusCode::kInvalidArgument,
                         "DSL '" + dsl_.name + "' has no bucket '" + ck.label + "'");
   }
-  BucketSearchState st;
+  State st;
   st.bucket = it->second;
   if (auto s = bucket_state_from_checkpoint(dsl_, opts_, ck, &st); !s.is_ok()) return s;
   states_.erase(ck.label);
@@ -179,17 +189,27 @@ bool ShardEngine::has_bucket(const std::string& label) const {
   return states_.count(label) != 0;
 }
 
-util::Result<std::vector<BucketCheckpoint>> ShardEngine::run_pass(
-    const std::vector<std::string>& labels, std::size_t target,
-    const std::vector<std::size_t>& working_indices, const util::CancellationToken* cancel) {
-  for (const auto& label : labels) {
+util::Status ShardEngine::load(const std::vector<BucketCheckpoint>& states) {
+  for (const auto& ck : states) {
+    if (auto st = adopt_bucket(ck); !st.is_ok()) return st;
+  }
+  return util::Status::ok();
+}
+
+void ShardEngine::cache_tallies(std::uint64_t* hits, std::uint64_t* misses) {
+  *hits = cache_hits_.load(std::memory_order_relaxed);
+  *misses = cache_misses_.load(std::memory_order_relaxed);
+}
+
+util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest& req) {
+  for (const auto& label : req.labels) {
     if (!states_.count(label)) {
       return util::Status(util::StatusCode::kInvalidArgument,
                           "shard does not own bucket '" + label + "'");
     }
   }
   std::vector<trace::Segment> working;
-  for (std::size_t idx : working_indices) {
+  for (std::size_t idx : req.working) {
     if (idx >= segments_.size()) {
       return util::Status(util::StatusCode::kInvalidArgument,
                           "working index " + std::to_string(idx) + " out of range (pool has " +
@@ -198,21 +218,51 @@ util::Result<std::vector<BucketCheckpoint>> ShardEngine::run_pass(
     working.push_back(segments_[idx]);
   }
   if (working.empty()) working = segments_;  // tiny pools: use everything
+  const util::CancellationToken* cancel = req.cancel;
   auto stop = [cancel] { return cancel != nullptr && cancel->cancelled(); };
-  pool_->parallel_for(labels.size(), [&](std::size_t i) {
-    BucketSearchState& st = states_.at(labels[i]);
-    enumerate_bucket_sketches(dsl_, opts_, st, target, stop);
+  const std::uint64_t fingerprint = opts_.use_eval_cache ? segment_set_fingerprint(working) : 0;
+  // Set by any bucket that completes this pass with a valid best, for the
+  // interrupted-skip below.
+  std::atomic<bool> pass_found{false};
+
+  pool_->parallel_for(req.labels.size(), [&](std::size_t i) {
+    State& st = states_.at(req.labels[i]);
+    obs::TraceSpan span("score " + st.bucket.label, "synth");
+    // A preempted run that already has a best skips the remaining buckets
+    // outright: building their enumerators just to honor the one-sketch
+    // minimum would stretch the deadline by seconds.
+    if (stop() && (req.have_best || pass_found.load(std::memory_order_acquire))) return;
+    // Installed inside the task, so a pool worker that steals it
+    // self-attributes to this run.
+    std::optional<obs::JournalScope> jscope;
+    if (journal_) {
+      if (st.journal_bucket == 0) st.journal_bucket = obs::journal_intern(st.bucket.label);
+      jscope.emplace(journal_job_, st.journal_bucket, static_cast<std::uint32_t>(req.iter));
+    }
+    enumerate_bucket_sketches(dsl_, opts_, st, req.target, stop);
     EvalContext ctx;
-    ctx.cache = opts_.use_eval_cache ? &cache_ : nullptr;
-    ctx.fingerprint = opts_.use_eval_cache ? segment_set_fingerprint(working) : 0;
+    ctx.cache = opts_.use_eval_cache ? cache_ : nullptr;
+    ctx.fingerprint = fingerprint;
     ctx.cancel = cancel;
     ctx.cache_hit_tally = &cache_hits_;
     ctx.cache_miss_tally = &cache_misses_;
-    score_bucket_pass(dsl_, opts_, st, working, &ctx, stop);
+    const ScoredHandler best = score_bucket_pass(dsl_, opts_, st, working, &ctx, stop);
+    if (!best.valid()) return;
+    pass_found.store(true, std::memory_order_release);
+    if (jscope && best.sketch) {
+      // This iteration's bucket winner (the run winner is recorded by the
+      // driver after final validation).
+      obs::journal_record_selected(dsl::hash_expr(*best.sketch), best.fingerprint, best.distance,
+                                   obs::journal_intern(dsl::to_string(*best.handler)), false);
+    }
   });
-  std::vector<BucketCheckpoint> out;
-  out.reserve(labels.size());
-  for (const auto& label : labels) out.push_back(bucket_state_to_checkpoint(states_.at(label)));
+
+  std::vector<BucketOutcome> out;
+  out.reserve(req.labels.size());
+  for (const auto& label : req.labels) {
+    const State& st = states_.at(label);
+    out.push_back({bucket_state_to_checkpoint(st), st.best});
+  }
   return out;
 }
 

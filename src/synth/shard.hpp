@@ -1,11 +1,11 @@
-// Shard-able refinement entry points (ISSUE 9). The single-process loop in
-// refinement.cpp and the distributed coordinator/worker pair in src/dist/
-// must run *the same* per-bucket pass — enumerate sketches to a target, then
-// re-score every sketch under the current working set with the bucket-best
-// abandon bound — or the distributed winner cannot be bit-identical to a
-// single-process run. This header exports that pass, the per-bucket state it
-// mutates, and the checkpoint conversions a worker uses to hand its state
-// back to the coordinator (and to adopt a dead peer's state).
+// Shard-able refinement (ISSUE 9): the per-bucket pass, the per-bucket
+// state it mutates, the checkpoint conversions that move that state between
+// processes, and the pass-executor seam of the one refinement driver. The
+// driver (run_refinement) owns Algorithm 1; a PassExecutor runs its bucket
+// passes in this process (ShardEngine) or on a worker fleet
+// (dist::Coordinator), and both execute the same per-bucket pass — enumerate
+// sketches to a target, then re-score every sketch under the current working
+// set with the bucket-best abandon bound.
 //
 // Determinism contract: a bucket pass is a pure function of (bucket state at
 // pass entry, enumeration target, working segment set, SynthesisOptions).
@@ -14,6 +14,7 @@
 // would have produced — that is the whole recovery story for worker death.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -44,9 +45,11 @@ std::uint64_t bucket_rng_seed(const std::string& label, std::uint64_t seed);
 // explicit, wins over whatever dopts carries (one knob, not two).
 distance::DistanceOptions effective_distance_options(const SynthesisOptions& opts);
 
-// Mutable per-bucket search state kept across iterations. The single-process
-// loop's BucketState derives from this (adding obs/journal caches); workers
-// hold these directly.
+// Interned journal id of the run's {job=...} obs label (the engine and the
+// coordinator stamp one); 0 for a standalone run.
+std::uint32_t journal_job_id(const SynthesisOptions& opts);
+
+// Mutable per-bucket search state kept across iterations.
 struct BucketSearchState {
   Bucket bucket;
   std::unique_ptr<SketchEnumerator> enumerator;  // created on first use
@@ -92,53 +95,97 @@ BucketCheckpoint bucket_state_to_checkpoint(const BucketSearchState& st);
 util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                                           const BucketCheckpoint& ck, BucketSearchState* st);
 
-// One worker's share of a distributed refinement search: a set of bucket
-// states plus the evaluation infrastructure (thread pool, memo cache) to run
-// passes over them. The coordinator drives it through add/adopt/run_pass;
-// tools/abagnale_worker exposes the same surface over HTTP.
-class ShardEngine {
+// One bucket's share of a finished refinement pass: its post-pass state and
+// its best handler under the pass's working set (invalid when it has none).
+struct BucketOutcome {
+  BucketCheckpoint checkpoint;
+  ScoredHandler best;
+};
+
+// One refinement pass as the driver asks for it (Algorithm 1 line 3 or the
+// terminal exhaustive phase).
+struct PassRequest {
+  std::vector<std::string> labels;  // the live buckets, in the driver's order
+  std::size_t target = 0;           // enumerate each bucket up to this many sketches
+  std::vector<std::size_t> working;  // segment-pool indices; empty = the whole pool
+  int iter = 0;                      // refinement iteration (journal provenance)
+  // The run already holds a valid best. Once `cancel` fires, an executor may
+  // then skip buckets it has not started instead of scoring one sketch each.
+  bool have_best = false;
+  const util::CancellationToken* cancel = nullptr;
+};
+
+// Where the refinement driver's bucket passes run: in this process
+// (ShardEngine) or on a worker fleet (dist::Coordinator). A pass is a pure
+// function of the bucket states it starts from, so both produce the same
+// outcomes, and the driver cannot tell them apart.
+class PassExecutor {
  public:
-  // The segment pool must be the full pool of the job (workers rebuild it
-  // deterministically from the spec; the coordinator cross-checks via
-  // pool_fingerprint()). `opts` is the job's SynthesisOptions; SIMD choice
-  // is folded into the distance options once, as synthesize() does.
-  ShardEngine(dsl::Dsl dsl, std::vector<trace::Segment> segments, SynthesisOptions opts);
+  PassExecutor() = default;
+  PassExecutor(const PassExecutor&) = delete;
+  PassExecutor& operator=(const PassExecutor&) = delete;
+  virtual ~PassExecutor() = default;
+  // Start from these states, one per bucket of the DSL (fresh or resumed).
+  virtual util::Status load(const std::vector<BucketCheckpoint>& states) = 0;
+  // Run one pass; outcomes come back in req.labels order. An interrupted
+  // pass either returns best-so-far outcomes or fails with the token's
+  // reason (kCancelled/kTimeout).
+  virtual util::Result<std::vector<BucketOutcome>> run_pass(const PassRequest& req) = 0;
+  // This run's cumulative memo-cache probes.
+  virtual void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) = 0;
+};
+
+// Algorithm 1 (§4.4): the one refinement driver. Owns checkpoint resume and
+// save, ranking, top-k with ties, N/k/segment growth, the terminal
+// exhaustive phase, final validation, and the per-run observability; every
+// bucket pass goes through `exec`. synthesize() runs it over a ShardEngine,
+// dist::Coordinator over its worker fleet.
+SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
+                               const SynthesisOptions& opts, PassExecutor& exec);
+
+// The local pass executor: a set of bucket states plus the evaluation
+// infrastructure (thread pool, memo cache) to run passes over them. It backs
+// synthesize() and each abagnale_worker's share of a distributed search.
+// Buckets of one pass run in parallel, each under its own journal scope and
+// trace span.
+class ShardEngine final : public PassExecutor {
+ public:
+  // `segments` is the job's full pool and must outlive the engine. The pool
+  // and memo cache are opts.pool / opts.shared_cache when set, else owned
+  // (opts.threads wide). SIMD choice is folded into the distance options.
+  ShardEngine(dsl::Dsl dsl, const std::vector<trace::Segment>& segments, SynthesisOptions opts);
 
   // Start searching `label` from scratch (fresh RNG from bucket_rng_seed).
   // kInvalidArgument when the DSL has no such bucket.
   util::Status add_bucket(const std::string& label);
-  // Adopt a bucket mid-search from a checkpoint (shard reassignment after a
-  // worker death). Overwrites any existing state for the label, so re-sends
-  // are idempotent.
+  // Adopt a bucket mid-search from a checkpoint (resume, or shard
+  // reassignment after a worker death). Overwrites any existing state for
+  // the label, so re-sends are idempotent.
   util::Status adopt_bucket(const BucketCheckpoint& ck);
   bool has_bucket(const std::string& label) const;
 
-  // Run one refinement pass: for each label, enumerate to `target` then
-  // re-score all sketches under the working subset (`working_indices` into
-  // the segment pool; empty = the whole pool, matching the tiny-pool rule in
-  // synthesize()). Buckets run in parallel on the engine's pool. Returns the
-  // post-pass checkpoints in input-label order.
-  util::Result<std::vector<BucketCheckpoint>> run_pass(
-      const std::vector<std::string>& labels, std::size_t target,
-      const std::vector<std::size_t>& working_indices,
-      const util::CancellationToken* cancel = nullptr);
-
-  std::uint64_t pool_fingerprint() const { return pool_fingerprint_; }
-  std::size_t segment_count() const { return segments_.size(); }
-  std::uint64_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
-  std::uint64_t cache_misses() const { return cache_misses_.load(std::memory_order_relaxed); }
+  util::Status load(const std::vector<BucketCheckpoint>& states) override;
+  util::Result<std::vector<BucketOutcome>> run_pass(const PassRequest& req) override;
+  void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) override;
 
  private:
+  struct State : BucketSearchState {
+    std::uint32_t journal_bucket = 0;  // interned label, resolved on first journaled pass
+  };
+
   dsl::Dsl dsl_;
-  std::vector<trace::Segment> segments_;
+  const std::vector<trace::Segment>& segments_;
   SynthesisOptions opts_;
-  std::uint64_t pool_fingerprint_ = 0;
-  std::unique_ptr<util::ThreadPool> pool_;
-  EvalCache cache_;
+  std::unique_ptr<util::ThreadPool> owned_pool_;
+  util::ThreadPool* pool_ = nullptr;
+  EvalCache owned_cache_;
+  EvalCache* cache_ = nullptr;
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
-  std::map<std::string, Bucket> bucket_defs_;           // every bucket of the DSL
-  std::map<std::string, BucketSearchState> states_;     // the ones this shard owns
+  bool journal_ = false;         // journal this run's passes
+  std::uint32_t journal_job_ = 0;  // interned {job=...} label; 0 = standalone
+  std::map<std::string, Bucket> bucket_defs_;  // every bucket of the DSL
+  std::map<std::string, State> states_;        // the ones this shard owns
 };
 
 }  // namespace abg::synth

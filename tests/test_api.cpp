@@ -1,6 +1,5 @@
 // Tests for the abg::api facade (batch Engine, JobSpec validation, manifest
-// parsing, compat wrappers) and the work-stealing ThreadPool scheduler it
-// runs on.
+// parsing) and the work-stealing ThreadPool scheduler it runs on.
 //
 // The Scheduler* suite is deliberately Z3-free and simulator-free: CI runs
 // exactly that filter under ThreadSanitizer (`abg_tests_api
@@ -407,6 +406,34 @@ TEST(Engine, ShareEvalCacheOffIsolatesJobs) {
   expect_same_synthesis(r1.pipeline.synthesis, r2.pipeline.synthesis, "isolated pair");
 }
 
+TEST(Engine, Mister880JobMatchesDirectCall) {
+  const auto segs = cca_segments("reno", 21);
+  synth::Mister880Options opts;
+  opts.max_sketches = 40;
+  opts.concretize_budget = 8;
+  opts.max_holes = 1;
+  opts.max_depth = 3;
+  opts.max_nodes = 5;
+  const auto direct = synth::mister880_synthesize(dsl::reno_dsl(), segs, opts);
+  api::JobSpec spec;
+  spec.with_kind(api::JobSpec::Kind::kMister880)
+      .with_custom_dsl(dsl::reno_dsl())
+      .with_segments(segs);
+  spec.mister880 = opts;
+  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+  auto h = engine.submit(std::move(spec));
+  ASSERT_TRUE(h.ok()) << h.status().to_string();
+  const api::JobResult& r = h->wait();
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  EXPECT_EQ(r.segments_total, segs.size());
+  EXPECT_EQ(direct.found(), r.mister880.found());
+  EXPECT_EQ(direct.sketches_tried, r.mister880.sketches_tried);
+  EXPECT_EQ(direct.handlers_tried, r.mister880.handlers_tried);
+  if (direct.found()) {
+    EXPECT_EQ(dsl::to_string(*direct.handler), dsl::to_string(*r.mister880.handler));
+  }
+}
+
 TEST(Engine, PollWaitAndStreamedIterations) {
   const auto segs = cca_segments("reno", 21);
   std::atomic<int> streamed{0};
@@ -548,40 +575,6 @@ TEST(EngineStatus, ConvergenceSeriesTracksIterationReports) {
     prev_wall = p.wall_ms;
   }
 }
-
-// --- Compatibility wrappers. ------------------------------------------------
-// The wrappers are [[deprecated]] (build a JobSpec, run it through
-// api::Engine) but must stay bit-equivalent until removal — these tests pin
-// that, so they are the one sanctioned call site.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(Compat, SynthesizeWrapperMatchesDirectCall) {
-  const auto segs = cca_segments("reno", 21);
-  const auto direct = synth::synthesize(dsl::reno_dsl(), segs, quick_opts());
-  const auto wrapped = api::synthesize(dsl::reno_dsl(), segs, quick_opts());
-  expect_same_synthesis(direct, wrapped, "compat synthesize");
-}
-
-TEST(Compat, Mister880WrapperMatchesDirectCall) {
-  const auto segs = cca_segments("reno", 21);
-  synth::Mister880Options opts;
-  opts.max_sketches = 40;
-  opts.concretize_budget = 8;
-  opts.max_holes = 1;
-  opts.max_depth = 3;
-  opts.max_nodes = 5;
-  const auto direct = synth::mister880_synthesize(dsl::reno_dsl(), segs, opts);
-  const auto wrapped = api::run_mister880(dsl::reno_dsl(), segs, opts);
-  EXPECT_EQ(direct.found(), wrapped.found());
-  EXPECT_EQ(direct.sketches_tried, wrapped.sketches_tried);
-  EXPECT_EQ(direct.handlers_tried, wrapped.handlers_tried);
-  if (direct.found()) {
-    EXPECT_EQ(dsl::to_string(*direct.handler), dsl::to_string(*wrapped.handler));
-  }
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace abg

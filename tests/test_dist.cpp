@@ -1,12 +1,16 @@
 // Distributed refinement search (ISSUE 9): coordinator/worker sharding must
 // be *bit-identical* to a single-process run — same winner, same distance,
 // same per-iteration bucket scores — including after a worker dies mid-search
-// and its shard is reassigned. Also covers the worker protocol's malformed-
-// message behavior (clean kParseError envelopes, never a wedged worker), the
-// canonical JobSpec codec round-trip, endpoint parsing, and the versioned
-// /v1 HTTP surface with Deprecation headers on legacy spellings.
+// and its shard is reassigned, and when a checkpoint written by one executor
+// resumes on the other. Both run the one refinement driver, so a distributed
+// job also records the in-process run's metrics and honors its fault hooks.
+// Also covers the worker protocol's malformed-message behavior (clean
+// kParseError envelopes, never a wedged worker), the canonical JobSpec codec
+// round-trip, endpoint parsing, and the versioned /v1 HTTP surface with
+// Deprecation headers on legacy spellings.
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <random>
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "api/engine.hpp"
 #include "api/manifest.hpp"
@@ -27,6 +32,7 @@
 #include "obs/status_server.hpp"
 #include "synth/buckets.hpp"
 #include "trace/trace_io.hpp"
+#include "util/fault_injection.hpp"
 #include "util/status.hpp"
 
 namespace abg {
@@ -42,8 +48,12 @@ const std::string& reno_csv() {
     env.duration_s = 10.0;
     env.seed = 21;
     auto t = net::run_connection("reno", env);
+    // Test processes run in parallel and share the temp dir: write privately,
+    // then rename into place, so no reader ever sees a half-written file.
     const std::string p = testing::TempDir() + "abg_dist_reno.csv";
-    EXPECT_TRUE(trace::save_csv(t, p).is_ok());
+    const std::string tmp = p + "." + std::to_string(::getpid());
+    EXPECT_TRUE(trace::save_csv(t, tmp).is_ok());
+    EXPECT_EQ(std::rename(tmp.c_str(), p.c_str()), 0);
     return p;
   }();
   return path;
@@ -251,6 +261,89 @@ TEST(Dist, WorkerDeathMidSearchReassignsAndMatchesWinner) {
   EXPECT_GE(c_lost.value(), lost_before + 1);
   EXPECT_GE(c_reassigned.value(), reassigned_before + 1);
   expect_bit_identical(golden, got);
+}
+
+// --- One driver: checkpoints move between executors, observability holds. --
+
+// Restores a clean fault injector however the test exits.
+struct FaultGuard {
+  explicit FaultGuard(const util::fault::Config& cfg) { util::fault::set_config(cfg); }
+  ~FaultGuard() { util::fault::set_config({}); }
+};
+
+util::fault::Config cancel_after(int iterations) {
+  util::fault::Config cfg;
+  cfg.cancel_after_iterations = iterations;
+  return cfg;
+}
+
+api::JobSpec checkpointed(api::JobSpec spec, const std::string& path, bool resume) {
+  spec.with_checkpoint(path, resume);
+  return spec;
+}
+
+TEST(Dist, InProcessCheckpointResumesOnFleetBitIdentically) {
+  const api::JobSpec spec = quick_spec();
+  const api::JobResult golden = run_single(spec);
+  ASSERT_GE(golden.pipeline.synthesis.iterations.size(), 2u);
+  const std::string ckpt = testing::TempDir() + "abg_dist_local_to_fleet.ckpt";
+  std::remove(ckpt.c_str());
+  {
+    FaultGuard guard(cancel_after(1));
+    const api::JobResult stopped = run_single(checkpointed(spec, ckpt, false));
+    ASSERT_EQ(stopped.status.code(), util::StatusCode::kCancelled);
+    ASSERT_EQ(stopped.pipeline.synthesis.iterations.size(), 1u);
+  }
+  Fleet fleet(3);
+  dist::Coordinator coord(quick_copts(fleet));
+  expect_bit_identical(golden, coord.run(checkpointed(spec, ckpt, true)));
+}
+
+TEST(Dist, FleetCheckpointResumesInProcessBitIdentically) {
+  const api::JobSpec spec = quick_spec();
+  const api::JobResult golden = run_single(spec);
+  ASSERT_GE(golden.pipeline.synthesis.iterations.size(), 2u);
+  const std::string ckpt = testing::TempDir() + "abg_dist_fleet_to_local.ckpt";
+  std::remove(ckpt.c_str());
+  {
+    FaultGuard guard(cancel_after(1));
+    Fleet fleet(3);
+    dist::Coordinator coord(quick_copts(fleet));
+    const api::JobResult stopped = coord.run(checkpointed(spec, ckpt, false));
+    ASSERT_EQ(stopped.status.code(), util::StatusCode::kCancelled);
+    ASSERT_EQ(stopped.pipeline.synthesis.iterations.size(), 1u);
+  }
+  expect_bit_identical(golden, run_single(checkpointed(spec, ckpt, true)));
+}
+
+TEST(Dist, CoordinatorRecordsIterationTimingAndJobLabeledSeries) {
+  api::JobSpec spec = quick_spec();
+  spec.with_name("dist-obs");
+  auto& h_iter = obs::histogram("synth.iter_us");
+  auto& c_iters_job = obs::counter("synth.iterations", api::job_obs_labels(spec));
+  const std::uint64_t timed_before = h_iter.count();
+  const std::uint64_t iters_before = c_iters_job.value();
+
+  Fleet fleet(3);
+  dist::Coordinator coord(quick_copts(fleet));
+  const api::JobResult got = coord.run(spec);
+  ASSERT_TRUE(got.status.is_ok()) << got.status.to_string();
+  const std::size_t iterations = got.pipeline.synthesis.iterations.size();
+  ASSERT_GE(iterations, 1u);
+  EXPECT_EQ(h_iter.count() - timed_before, iterations);
+  EXPECT_EQ(c_iters_job.value() - iters_before, iterations);
+}
+
+TEST(Dist, CoordinatorHonorsInjectedCancelAfter) {
+  FaultGuard guard(cancel_after(1));
+  Fleet fleet(3);
+  dist::Coordinator coord(quick_copts(fleet));
+  const api::JobResult got = coord.run(quick_spec());
+  EXPECT_EQ(got.status.code(), util::StatusCode::kCancelled) << got.status.to_string();
+  EXPECT_TRUE(got.pipeline.synthesis.partial);
+  EXPECT_FALSE(got.pipeline.synthesis.timed_out);
+  EXPECT_TRUE(got.found());  // best-so-far from the completed iteration
+  EXPECT_EQ(got.pipeline.synthesis.iterations.size(), 1u);
 }
 
 TEST(Dist, AllWorkersLostFailsCleanly) {

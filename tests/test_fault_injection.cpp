@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "dsl/known_handlers.hpp"
 #include "net/simulator.hpp"
@@ -253,6 +255,44 @@ TEST(Checkpoint, MissingFileIsIoErrorAndGarbageIsParseError) {
   auto bad = load_checkpoint(path);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
+}
+
+// A candidate with a blank handler field parses (empty texts are legal for
+// a bucket with no best yet), but every candidate is replayed by final
+// validation, so resume must reject it instead of dereferencing a null
+// handler later.
+TEST(Checkpoint, BlankCandidateHandlerIsParseErrorNotCrash) {
+  const std::string path = testing::TempDir() + "/abg_blank_cand_ckpt.txt";
+  std::remove(path.c_str());
+  {
+    util::fault::Config cfg;
+    cfg.cancel_after_iterations = 1;
+    FaultGuard guard(cfg);
+    SynthesisOptions opts = quick_opts();
+    opts.checkpoint_path = path;
+    (void)synthesize(dsl::reno_dsl(), reno_segments(), opts);
+  }
+  std::ifstream in(path);
+  std::string text, line;
+  bool blanked = false;
+  while (std::getline(in, line)) {
+    if (!blanked && line.rfind("cand\t", 0) == 0) {
+      line.erase(line.rfind('\t') + 1);  // keep distance and sketch, drop the handler
+      blanked = true;
+    }
+    text += line + "\n";
+  }
+  in.close();
+  ASSERT_TRUE(blanked) << "checkpoint has no candidate line";
+  std::ofstream(path, std::ios::trunc) << text;
+  ASSERT_TRUE(load_checkpoint(path).ok());  // well-formed file, bad content
+
+  SynthesisOptions opts = quick_opts();
+  opts.checkpoint_path = path;
+  opts.resume = true;
+  auto result = synthesize(dsl::reno_dsl(), reno_segments(), opts);
+  EXPECT_EQ(result.status.code(), StatusCode::kParseError) << result.status.to_string();
+  EXPECT_FALSE(result.best.valid());
 }
 
 TEST(Checkpoint, ResumeIsBitIdenticalToUninterruptedRun) {

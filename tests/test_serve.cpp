@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/worker.hpp"
 #include "net/simulator.hpp"
 #include "obs/registry.hpp"
 #include "serve/admission.hpp"
@@ -80,8 +81,12 @@ const std::string& reno_csv() {
     env.duration_s = 10.0;
     env.seed = 21;
     auto t = net::run_connection("reno", env);
+    // Test processes run in parallel and share the temp dir: write privately,
+    // then rename into place, so no reader ever sees a half-written file.
     const std::string p = testing::TempDir() + "abg_serve_reno.csv";
-    EXPECT_TRUE(trace::save_csv(t, p).is_ok());
+    const std::string tmp = p + "." + std::to_string(::getpid());
+    EXPECT_TRUE(trace::save_csv(t, tmp).is_ok());
+    EXPECT_EQ(std::rename(tmp.c_str(), p.c_str()), 0);
     return p;
   }();
   return path;
@@ -645,6 +650,63 @@ TEST(ServeRecovery, GracefulDrainParksJobsAndRestartFinishesThem) {
   ASSERT_TRUE(wait_terminal(service, id2, &rec2));
   EXPECT_EQ(rec1.phase, JobPhase::kDone);
   EXPECT_EQ(rec2.phase, JobPhase::kDone);
+  service.drain_and_stop();
+}
+
+// --- Distributed dispatch ------------------------------------------------------
+
+// Virtual size of this process in kB (/proc/self/status VmSize).
+long vm_size_kb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+// Each distributed job runs on its own coordinator thread. A long-lived
+// daemon must join finished ones as it goes: an unjoined thread keeps its
+// whole stack (8 MB by default) mapped until drain. The jobs name a missing
+// trace file, so each coordinator thread fails fast and nothing but thread
+// stacks can move VmSize.
+TEST(ServeDist, FinishedCoordinatorThreadsAreReapedSoVmSizeStaysFlat) {
+  dist::Worker worker;
+  obs::StatusServer worker_server;  // declared after worker: stops before it dies
+  worker.mount(worker_server);
+  std::string err;
+  ASSERT_TRUE(worker_server.start(0, &err)) << err;
+
+  const std::string dir = fresh_dir("dist_reap");
+  ServiceOptions opts = quick_service_opts(dir);
+  opts.dist.workers = {{"127.0.0.1", worker_server.port()}};
+  Service service(opts);
+  ASSERT_TRUE(service.start().is_ok());
+
+  const std::string spec = "{\"traces\":[\"" + dir + "/missing.csv\"],\"dsl\":\"reno\"}";
+  auto run_jobs = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      obs::HttpRequest req;
+      req.method = "POST";
+      req.path = "/jobs";
+      req.body = spec;
+      const obs::HttpResponse resp = service.handle_submit(req);
+      ASSERT_EQ(resp.code, 202) << resp.body;
+      JobRecord rec;
+      ASSERT_TRUE(wait_terminal(service, json_field(resp.body, "id"), &rec));
+      ASSERT_EQ(rec.phase, JobPhase::kFailed);
+    }
+  };
+  run_jobs(2);  // warm-up: allocator arenas and the stack cache
+  const long before_kb = vm_size_kb();
+  ASSERT_GT(before_kb, 0);
+  constexpr int kJobs = 8;
+  run_jobs(kJobs);
+  const long growth_kb = vm_size_kb() - before_kb;
+  // Without reaping this grows by one thread stack per job. Allow two stacks
+  // of slack for a thread that finishes just after the next dispatch.
+  EXPECT_LT(growth_kb, 2 * 8192) << "VmSize grew " << growth_kb << " kB over " << kJobs
+                                 << " distributed jobs";
   service.drain_and_stop();
 }
 

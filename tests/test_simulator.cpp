@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "net/simulator.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_io.hpp"
 
 namespace abg::net {
 namespace {
@@ -187,6 +189,31 @@ TEST(Simulator, WmaxSignalTracksWindowAtLoss) {
       EXPECT_NEAR(s.sig.cwnd_at_loss, last_loss_cwnd, 1.0);
     }
   }
+}
+
+// After an RTO's go-back-N resend, ACKs for segments sent before the timeout
+// used to carry the cumulative ACK past the send frontier, and in-flight
+// went negative (-43,440 B at sample 395 of this lossy Cubic trace). The
+// strict loader then rejected a trace the simulator itself wrote.
+TEST(Simulator, LossyCubicTraceHasNoNegativeCoreFieldAndLoadsStrictly) {
+  auto env = default_environments(3, 101)[1];
+  env.duration_s = 15.0;
+  env.random_loss = 0.002;
+  ASSERT_EQ(env.seed, 102u);
+  const auto t = run_connection("cubic", env);
+  ASSERT_GT(t.samples.size(), 395u);
+  for (std::size_t i = 0; i < t.samples.size(); ++i) {
+    const auto& s = t.samples[i];
+    ASSERT_GE(s.sig.inflight, 0.0) << "sample " << i;
+    ASSERT_GE(s.sig.cwnd, 0.0) << "sample " << i;
+    ASSERT_GE(s.cwnd_after, 0.0) << "sample " << i;
+    ASSERT_GE(s.sig.acked_bytes, 0.0) << "sample " << i;
+  }
+  const std::string path = testing::TempDir() + "abg_lossy_cubic.csv";
+  ASSERT_TRUE(trace::save_csv(t, path).is_ok());
+  auto loaded = trace::load_csv(path);  // strict: no repair
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->samples.size(), t.samples.size());
 }
 
 }  // namespace

@@ -207,10 +207,12 @@ TEST_F(SpansTest, LanePidsAreNotReusedAcrossClear) {
 // stolen tasks attribute to the submitting job's lane — never to whatever
 // the worker was doing before.
 TEST_F(SpansTest, PoolTasksRunOnTheSubmittersLane) {
-  util::ThreadPool pool(3);
   const std::uint32_t lane = obs::register_lane("job pool-test");
   std::uint64_t root_id = 0;
   {
+    // Scoped so the pool joins before the export is parsed: a task's future
+    // is ready before its worker closes the enclosing pool.task span.
+    util::ThreadPool pool(3);
     obs::ContextScope scope(obs::SpanContext{lane, 0});
     obs::Span root("job pool-test", "api");
     root_id = root.id();
