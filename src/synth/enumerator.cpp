@@ -7,8 +7,8 @@
 
 #include "dsl/simplify.hpp"
 #include "dsl/units.hpp"
-#include "obs/journal.hpp"
 #include "obs/registry.hpp"
+#include "obs/timer.hpp"
 
 namespace abg::synth {
 
@@ -33,13 +33,14 @@ struct ProdIds {
   }
 };
 
-}  // namespace
-
-struct SketchEnumerator::Impl {
-  dsl::Dsl dsl;
-  EnumeratorOptions opts;
+// The Z3 encoding of one (sub-)space: context, solver and the per-node
+// variables with every structural constraint asserted. Building one costs
+// ~15 MB and ~17 ms, and so does destroying it, so an enumerator holds one
+// only while its space can still yield a sketch.
+struct Encoding {
+  const dsl::Dsl& dsl;
+  const EnumeratorOptions& opts;
   ProdIds ids;
-  int max_depth;
   int max_nodes;
   std::size_t node_total;  // heap size: (3^depth - 1) / 2
 
@@ -48,34 +49,8 @@ struct SketchEnumerator::Impl {
   std::vector<z3::expr> prod;  // per-node production selector
   std::vector<z3::expr> ub, us;  // per-node unit exponents (if unit_check)
 
-  bool exhausted = false;
-  std::size_t models = 0;
-  std::size_t emitted = 0;
-  std::unordered_set<std::size_t> seen_hashes;
-  // Sketches are enumerated in increasing size (node count): the refinement
-  // loop samples the first N of a bucket, and small expressions are both the
-  // likeliest true handlers and the cheapest to score. The size target is
-  // passed as a per-check assumption so blocking clauses stay permanent.
-  int current_size = 1;
-
-  // A sketch using *exactly* the operator set B needs at least
-  // 1 + sum(arity(o)) nodes: >= |B| internal nodes, and a tree with those
-  // internal nodes has 1 + sum(arity - 1) leaves. Starting at this bound
-  // avoids grinding UNSAT proofs at impossible sizes, and buckets whose
-  // bound exceeds max_nodes are empty outright.
-  int min_feasible_size() const {
-    if (!opts.bucket) return 1;
-    int bound = 1;
-    for (dsl::Op o : *opts.bucket) bound += dsl::op_arity(o);
-    return bound;
-  }
-
-  Impl(const dsl::Dsl& d, EnumeratorOptions o)
-      : dsl(d), opts(std::move(o)), ids(d), solver(ctx) {
-    max_depth = opts.max_depth.value_or(dsl.max_depth);
-    max_nodes = opts.max_nodes.value_or(dsl.max_nodes);
-    current_size = min_feasible_size();
-    if (current_size > max_nodes) exhausted = true;
+  Encoding(const dsl::Dsl& d, const EnumeratorOptions& o, int max_depth, int max_nodes_in)
+      : dsl(d), opts(o), ids(d), max_nodes(max_nodes_in), solver(ctx) {
     node_total = 1;
     std::size_t layer = 1;
     for (int i = 1; i < max_depth; ++i) {
@@ -370,39 +345,92 @@ struct SketchEnumerator::Impl {
     }
     return z3::sum(actives) == k;
   }
+};
+
+}  // namespace
+
+struct SketchEnumerator::Impl {
+  dsl::Dsl dsl;
+  EnumeratorOptions opts;
+  int max_nodes;
+  std::unique_ptr<Encoding> enc;  // null when the space is empty by size alone
+
+  bool exhausted = false;
+  std::size_t models = 0;
+  std::size_t emitted = 0;
+  std::unordered_set<std::size_t> seen_hashes;
+  // Sketches are enumerated in increasing size (node count): the refinement
+  // loop samples the first N of a bucket, and small expressions are both the
+  // likeliest true handlers and the cheapest to score. The size target is
+  // passed as a per-check assumption so blocking clauses stay permanent.
+  int current_size = 1;
+
+  // A sketch using *exactly* the operator set B needs at least
+  // 1 + sum(arity(o)) nodes: >= |B| internal nodes, and a tree with those
+  // internal nodes has 1 + sum(arity - 1) leaves. Starting at this bound
+  // avoids grinding UNSAT proofs at impossible sizes, and buckets whose
+  // bound exceeds max_nodes are empty outright: they get no Z3 state at all.
+  int min_feasible_size() const {
+    if (!opts.bucket) return 1;
+    int bound = 1;
+    for (dsl::Op o : *opts.bucket) bound += dsl::op_arity(o);
+    return bound;
+  }
+
+  Impl(const dsl::Dsl& d, EnumeratorOptions o) : dsl(d), opts(std::move(o)) {
+    static auto& c_built = obs::counter("synth.enumerators_built");
+    static auto& h_build = obs::histogram("synth.enum_build_us");
+    max_nodes = opts.max_nodes.value_or(dsl.max_nodes);
+    current_size = min_feasible_size();
+    if (current_size > max_nodes) {
+      exhausted = true;
+      return;
+    }
+    obs::Timer t(h_build);
+    enc = std::make_unique<Encoding>(dsl, opts, opts.max_depth.value_or(dsl.max_depth), max_nodes);
+    c_built.add();
+  }
+
+  ~Impl() {
+    static auto& h_teardown = obs::histogram("synth.enum_teardown_us");
+    if (!enc) return;
+    obs::Timer t(h_teardown);
+    enc.reset();
+  }
 
   std::optional<dsl::ExprPtr> next() {
     static auto& c_models = obs::counter("synth.solver_models");
     static auto& c_emitted = obs::counter("synth.sketches_emitted");
+    static auto& h_solve = obs::histogram("synth.solve_us");
     while (!exhausted) {
       // Smallest-first: exhaust all size-k sketches before size k+1.
-      z3::expr_vector assumptions(ctx);
-      assumptions.push_back(size_assumption(current_size));
-      if (solver.check(assumptions) != z3::sat) {
+      z3::expr_vector assumptions(enc->ctx);
+      assumptions.push_back(enc->size_assumption(current_size));
+      const z3::check_result sat = [&] {
+        obs::Timer t(h_solve);
+        return enc->solver.check(assumptions);
+      }();
+      if (sat != z3::sat) {
         if (++current_size > max_nodes) {
           exhausted = true;
           return std::nullopt;
         }
         continue;
       }
-      const z3::model m = solver.get_model();
+      const z3::model m = enc->solver.get_model();
       ++models;
       c_models.add();
       int next_hole = 0;
-      dsl::ExprPtr sketch = decode(m, 0, next_hole);
-      block(m);
+      dsl::ExprPtr sketch = enc->decode(m, 0, next_hole);
+      enc->block(m);
       if (!sketch) continue;
       // Richer syntactic filter + commutative dedup (the post-filter half of
       // the paper's sympy-based non-simplifiability check).
       if (dsl::is_simplifiable(*sketch)) continue;
       const auto canon = dsl::canonicalize(sketch);
-      const auto canon_hash = dsl::hash_expr(*canon);
-      if (!seen_hashes.insert(canon_hash).second) continue;
+      if (!seen_hashes.insert(dsl::hash_expr(*canon)).second) continue;
       ++emitted;
       c_emitted.add();
-      // Journal the sketch under the caller's provenance (the refinement
-      // loop enumerates inside its bucket scope; no scope, no event).
-      if (obs::journal_enabled()) obs::journal_record_sketch(canon_hash);
       return canon;
     }
     return std::nullopt;

@@ -35,6 +35,11 @@ struct EnumeratorOptions {
   std::optional<int> max_nodes;
 };
 
+// Building the Z3 encoding is counted in "synth.enumerators_built" and timed
+// in "synth.enum_build_us"; each solver check is timed in "synth.solve_us",
+// and destroying the encoding in "synth.enum_teardown_us". A bucket whose
+// operator set needs more than max_nodes nodes gets no encoding at all: it is
+// exhausted() from construction, with zero models.
 class SketchEnumerator {
  public:
   SketchEnumerator(const dsl::Dsl& dsl, EnumeratorOptions opts = {});

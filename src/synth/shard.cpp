@@ -29,34 +29,75 @@ std::uint32_t journal_job_id(const SynthesisOptions& opts) {
   return 0;
 }
 
-void ensure_bucket_enumerator(const dsl::Dsl& dsl, const SynthesisOptions& opts,
-                              BucketSearchState& st) {
-  if (st.enumerator || st.exhausted) return;
+namespace {
+
+std::unique_ptr<SketchEnumerator> make_bucket_enumerator(const dsl::Dsl& dsl,
+                                                         const SynthesisOptions& opts,
+                                                         const Bucket& bucket) {
   EnumeratorOptions eopts;
   eopts.unit_check = opts.unit_check;
-  eopts.bucket = st.bucket.ops;
+  eopts.bucket = bucket.ops;
   eopts.max_holes = opts.max_holes;
   eopts.max_depth = opts.max_depth;
   eopts.max_nodes = opts.max_nodes;
-  st.enumerator = std::make_unique<SketchEnumerator>(dsl, eopts);
+  return std::make_unique<SketchEnumerator>(dsl, eopts);
 }
 
-void enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptions& opts,
-                               BucketSearchState& st, std::size_t target,
-                               const std::function<bool()>& stop) {
+// Advance st.enumerator until it has emitted `count` sketches: the ones st
+// already holds are re-derived and must match, the rest are appended. Counts
+// nothing and journals nothing; the original enumeration already did.
+util::Status fast_forward(BucketSearchState& st, std::size_t count) {
+  while (st.enumerator->sketches_emitted() < count) {
+    const std::size_t i = st.enumerator->sketches_emitted();
+    auto s = st.enumerator->next();
+    if (!s) {
+      return util::Status(util::StatusCode::kParseError,
+                          "bucket " + st.bucket.label + " records " + std::to_string(count) +
+                              " sketches but the enumerator produced only " + std::to_string(i));
+    }
+    if (i == st.sketches.size()) {
+      st.sketches.push_back(std::move(*s));
+    } else if (!dsl::equal(**s, *st.sketches[i])) {
+      return util::Status(util::StatusCode::kParseError,
+                          "bucket " + st.bucket.label + " sketch " + std::to_string(i) +
+                              " diverged: held '" + dsl::to_string(*st.sketches[i]) +
+                              "', re-derived '" + dsl::to_string(**s) + "'");
+    }
+  }
+  return util::Status::ok();
+}
+
+}  // namespace
+
+void ensure_bucket_enumerator(const dsl::Dsl& dsl, const SynthesisOptions& opts,
+                              BucketSearchState& st) {
+  if (st.enumerator || st.exhausted) return;
+  st.enumerator = make_bucket_enumerator(dsl, opts, st.bucket);
+}
+
+util::Status enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptions& opts,
+                                       BucketSearchState& st, std::size_t target,
+                                       const std::function<bool()>& stop) {
   static auto& c_sketches = obs::counter("synth.sketches_enumerated");
+  if (st.exhausted || st.sketches.size() >= target) return util::Status::ok();
   ensure_bucket_enumerator(dsl, opts, st);
+  // A rebuilt enumerator starts at sketch 0.
+  if (auto s = fast_forward(st, st.sketches.size()); !s.is_ok()) return s;
   // Always enumerate at least one sketch so an expired budget still returns
   // the best handler seen (§4.4's interrupt semantics).
-  while (st.sketches.size() < target && !st.exhausted && (st.sketches.empty() || !stop())) {
+  while (st.sketches.size() < target && (st.sketches.empty() || !stop())) {
     auto s = st.enumerator->next();
     if (!s) {
       st.exhausted = true;
       break;
     }
     c_sketches.add();
+    // Journaled under the caller's provenance (the pass task's bucket
+    // scope; no scope, no event).
+    if (obs::journal_enabled()) obs::journal_record_sketch(dsl::hash_expr(**s));
     st.sketches.push_back(std::move(*s));
   }
+  return util::Status::ok();
 }
 
 ScoredHandler score_bucket_pass(const dsl::Dsl& dsl, const SynthesisOptions& opts,
@@ -127,23 +168,9 @@ util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOp
   // original enumeration already did (checkpoint resume has the same rule).
   st->sketches.clear();
   st->enumerator.reset();
-  if (ck.sketches > 0) {
-    const bool was_exhausted = st->exhausted;
-    st->exhausted = false;  // re-open for re-derivation
-    ensure_bucket_enumerator(dsl, opts, *st);
-    while (st->sketches.size() < ck.sketches) {
-      auto s = st->enumerator->next();
-      if (!s) {
-        return util::Status(util::StatusCode::kParseError,
-                            "bucket " + ck.label + " records " + std::to_string(ck.sketches) +
-                                " sketches but the enumerator produced only " +
-                                std::to_string(st->sketches.size()));
-      }
-      st->sketches.push_back(std::move(*s));
-    }
-    st->exhausted = was_exhausted;
-  }
-  return util::Status::ok();
+  if (ck.sketches == 0) return util::Status::ok();
+  st->enumerator = make_bucket_enumerator(dsl, opts, st->bucket);
+  return fast_forward(*st, ck.sketches);
 }
 
 ShardEngine::ShardEngine(dsl::Dsl dsl, const std::vector<trace::Segment>& segments,
@@ -162,6 +189,14 @@ ShardEngine::ShardEngine(dsl::Dsl dsl, const std::vector<trace::Segment>& segmen
   journal_ = opts_.journal && obs::journal_enabled();
   if (journal_) journal_job_ = journal_job_id(opts_);
   for (auto& b : make_buckets(dsl_)) bucket_defs_.emplace(b.label, std::move(b));
+}
+
+ShardEngine::~ShardEngine() {
+  std::vector<State*> held;
+  for (auto& [label, st] : states_) {
+    if (st.enumerator) held.push_back(&st);
+  }
+  pool_->parallel_for(held.size(), [&](std::size_t i) { held[i]->enumerator.reset(); });
 }
 
 util::Status ShardEngine::add_bucket(const std::string& label) {
@@ -224,8 +259,22 @@ util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest
   // Set by any bucket that completes this pass with a valid best, for the
   // interrupted-skip below.
   std::atomic<bool> pass_found{false};
+  // Held enumerators of buckets this pass does not name (the driver's top-k
+  // cut) are released by extra tasks after the pass's own.
+  std::vector<State*> idle;
+  for (auto& [label, st] : states_) {
+    if (st.enumerator &&
+        std::find(req.labels.begin(), req.labels.end(), label) == req.labels.end()) {
+      idle.push_back(&st);
+    }
+  }
+  std::vector<util::Status> failures(req.labels.size());
 
-  pool_->parallel_for(req.labels.size(), [&](std::size_t i) {
+  pool_->parallel_for(req.labels.size() + idle.size(), [&](std::size_t i) {
+    if (i >= req.labels.size()) {
+      idle[i - req.labels.size()]->enumerator.reset();
+      return;
+    }
     State& st = states_.at(req.labels[i]);
     obs::TraceSpan span("score " + st.bucket.label, "synth");
     // A preempted run that already has a best skips the remaining buckets
@@ -239,7 +288,9 @@ util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest
       if (st.journal_bucket == 0) st.journal_bucket = obs::journal_intern(st.bucket.label);
       jscope.emplace(journal_job_, st.journal_bucket, static_cast<std::uint32_t>(req.iter));
     }
-    enumerate_bucket_sketches(dsl_, opts_, st, req.target, stop);
+    failures[i] = enumerate_bucket_sketches(dsl_, opts_, st, req.target, stop);
+    if (!failures[i].is_ok()) return;
+    if (st.exhausted) st.enumerator.reset();
     EvalContext ctx;
     ctx.cache = opts_.use_eval_cache ? cache_ : nullptr;
     ctx.fingerprint = fingerprint;
@@ -257,6 +308,9 @@ util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest
     }
   });
 
+  for (const auto& f : failures) {
+    if (!f.is_ok()) return f;
+  }
   std::vector<BucketOutcome> out;
   out.reserve(req.labels.size());
   for (const auto& label : req.labels) {

@@ -52,7 +52,9 @@ std::uint32_t journal_job_id(const SynthesisOptions& opts);
 // Mutable per-bucket search state kept across iterations.
 struct BucketSearchState {
   Bucket bucket;
-  std::unique_ptr<SketchEnumerator> enumerator;  // created on first use
+  // Created on first use and released once useless (the bucket is
+  // exhausted or no longer searched); rebuilt exactly if needed again.
+  std::unique_ptr<SketchEnumerator> enumerator;
   std::vector<dsl::ExprPtr> sketches;            // enumerated so far
   ScoredHandler best;                            // best under the *current* segment set
   std::size_t handlers_scored = 0;
@@ -66,12 +68,16 @@ void ensure_bucket_enumerator(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                               BucketSearchState& st);
 
 // Enumerate until st holds `target` sketches or the bucket is exhausted,
-// counting into "synth.sketches_enumerated". Always enumerates at least one
-// sketch even when `stop` fires, so an expired budget still returns the best
-// handler seen (§4.4's interrupt semantics).
-void enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptions& opts,
-                               BucketSearchState& st, std::size_t target,
-                               const std::function<bool()>& stop);
+// counting each new sketch into "synth.sketches_enumerated" and journaling it
+// under the caller's scope. Always enumerates at least one sketch even when
+// `stop` fires, so an expired budget still returns the best handler seen
+// (§4.4's interrupt semantics). A released enumerator is rebuilt and
+// fast-forwarded past the sketches st already holds, without counting or
+// journaling them; each re-derived sketch must equal the held one, else
+// kParseError.
+util::Status enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptions& opts,
+                                       BucketSearchState& st, std::size_t target,
+                                       const std::function<bool()>& stop);
 
 // Re-score ALL of st's sketches under `working` (Algorithm 1 line 5), each
 // sketch bounded by the bucket's own running best (the per-bucket minimum
@@ -90,7 +96,9 @@ util::Result<ScoredHandler> parse_scored_handler(double distance, const std::str
 
 // Snapshot / restore one bucket's state. Restore re-derives the sketch list
 // by re-enumeration (the SMT enumerator is deterministic; sketches are never
-// serialized) — identical to checkpoint resume in the single-process loop.
+// serialized) — the same fast-forward enumerate_bucket_sketches uses for a
+// released enumerator, and identical to checkpoint resume in the
+// single-process loop.
 BucketCheckpoint bucket_state_to_checkpoint(const BucketSearchState& st);
 util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                                           const BucketCheckpoint& ck, BucketSearchState* st);
@@ -148,12 +156,18 @@ SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Seg
 // synthesize() and each abagnale_worker's share of a distributed search.
 // Buckets of one pass run in parallel, each under its own journal scope and
 // trace span.
+//
+// A bucket's Z3 state lives only while it can still yield sketches. The
+// engine releases an enumerator on the pool, never serially: in the bucket's
+// own pass task once it is exhausted, as extra tasks of the next pass for
+// held buckets that pass does not name, and in the destructor for the rest.
 class ShardEngine final : public PassExecutor {
  public:
   // `segments` is the job's full pool and must outlive the engine. The pool
   // and memo cache are opts.pool / opts.shared_cache when set, else owned
   // (opts.threads wide). SIMD choice is folded into the distance options.
   ShardEngine(dsl::Dsl dsl, const std::vector<trace::Segment>& segments, SynthesisOptions opts);
+  ~ShardEngine() override;
 
   // Start searching `label` from scratch (fresh RNG from bucket_rng_seed).
   // kInvalidArgument when the DSL has no such bucket.

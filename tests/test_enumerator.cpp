@@ -5,6 +5,7 @@
 #include "dsl/dsl.hpp"
 #include "dsl/simplify.hpp"
 #include "dsl/units.hpp"
+#include "obs/registry.hpp"
 #include "synth/buckets.hpp"
 #include "synth/enumerator.hpp"
 
@@ -204,6 +205,40 @@ TEST(Enumerator, CountsModelsAndEmissions) {
   }
   EXPECT_GE(e.models_enumerated(), e.sketches_emitted());
   EXPECT_EQ(e.sketches_emitted(), 10u);
+}
+
+TEST(Enumerator, SizeInfeasibleBucketIsExhaustedWithoutZ3State) {
+  // {+,*,/} needs at least 1 + 2 + 2 + 2 = 7 nodes; the bound allows 5.
+  EnumeratorOptions o;
+  o.max_depth = 3;
+  o.max_nodes = 5;
+  o.bucket = std::vector<dsl::Op>{dsl::Op::kAdd, dsl::Op::kMul, dsl::Op::kDiv};
+  auto& built = obs::counter("synth.enumerators_built");
+  const auto built0 = built.value();
+  SketchEnumerator e(dsl::reno_dsl(), o);
+  EXPECT_TRUE(e.exhausted());
+  EXPECT_EQ(e.models_enumerated(), 0u);
+  EXPECT_EQ(built.value(), built0);
+  EXPECT_FALSE(e.next().has_value());
+  EXPECT_EQ(e.models_enumerated(), 0u);
+  EXPECT_EQ(e.sketches_emitted(), 0u);
+}
+
+TEST(Enumerator, FeasibleBucketBuildsOneEncodingAndTearsItDown) {
+  EnumeratorOptions o = small_opts();
+  o.bucket = std::vector<dsl::Op>{dsl::Op::kAdd};
+  auto& built = obs::counter("synth.enumerators_built");
+  auto& teardown = obs::histogram("synth.enum_teardown_us");
+  const auto built0 = built.value();
+  const auto teardown0 = teardown.count();
+  {
+    SketchEnumerator e(dsl::reno_dsl(), o);
+    EXPECT_FALSE(e.exhausted());
+    EXPECT_EQ(built.value(), built0 + 1);
+    EXPECT_TRUE(e.next().has_value());
+    EXPECT_EQ(teardown.count(), teardown0);
+  }
+  EXPECT_EQ(teardown.count(), teardown0 + 1);
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 
 #include "dsl/known_handlers.hpp"
 #include "net/simulator.hpp"
+#include "obs/registry.hpp"
+#include "synth/buckets.hpp"
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
+#include "synth/shard.hpp"
 
 namespace abg::synth {
 namespace {
@@ -152,6 +155,79 @@ TEST(Synthesize, CountsWorkDone) {
   EXPECT_GT(result.total_sketches, 0u);
   EXPECT_GT(result.total_handlers_scored, result.total_sketches / 2);
   EXPECT_GT(result.seconds, 0.0);
+}
+
+// A fresh search state for `label` under `opts` (the refinement loop's seed).
+BucketSearchState bucket_state(const dsl::Dsl& d, const std::string& label,
+                               const SynthesisOptions& opts) {
+  BucketSearchState st;
+  for (auto& b : make_buckets(d)) {
+    if (b.label == label) st.bucket = std::move(b);
+  }
+  st.rng = util::Rng(bucket_rng_seed(label, opts.seed));
+  return st;
+}
+
+TEST(BucketLifecycle, ReleasedEnumeratorContinuesExactly) {
+  const auto reno = dsl::reno_dsl();
+  const SynthesisOptions opts = quick_opts();
+  const auto never = [] { return false; };
+  BucketSearchState ref = bucket_state(reno, "{+,*}", opts);
+  ASSERT_FALSE(ref.bucket.label.empty());
+  ASSERT_TRUE(enumerate_bucket_sketches(reno, opts, ref, 16, never).is_ok());
+  ASSERT_EQ(ref.sketches.size(), 16u);
+
+  auto& enumerated = obs::counter("synth.sketches_enumerated");
+  BucketSearchState st = bucket_state(reno, "{+,*}", opts);
+  ASSERT_TRUE(enumerate_bucket_sketches(reno, opts, st, 8, never).is_ok());
+  st.enumerator.reset();
+  const auto before = enumerated.value();
+  ASSERT_TRUE(enumerate_bucket_sketches(reno, opts, st, 16, never).is_ok());
+  // The rebuilt enumerator skips the 8 held sketches without counting them.
+  EXPECT_EQ(enumerated.value() - before, 8u);
+  ASSERT_EQ(st.sketches.size(), ref.sketches.size());
+  for (std::size_t i = 0; i < ref.sketches.size(); ++i) {
+    EXPECT_EQ(dsl::to_string(*st.sketches[i]), dsl::to_string(*ref.sketches[i])) << i;
+  }
+}
+
+TEST(BucketLifecycle, DivergentHeldSketchIsAClassifiedError) {
+  const auto reno = dsl::reno_dsl();
+  const SynthesisOptions opts = quick_opts();
+  const auto never = [] { return false; };
+  BucketSearchState st = bucket_state(reno, "{+,*}", opts);
+  ASSERT_TRUE(enumerate_bucket_sketches(reno, opts, st, 8, never).is_ok());
+  st.enumerator.reset();
+  // Not a {+,*} sketch, so the re-derived one can never equal it.
+  st.sketches[3] = dsl::sig(dsl::Signal::kCwnd);
+  const auto status = enumerate_bucket_sketches(reno, opts, st, 16, never);
+  EXPECT_EQ(status.code(), util::StatusCode::kParseError) << status.to_string();
+  EXPECT_NE(status.message().find("sketch 3"), std::string::npos) << status.to_string();
+  EXPECT_EQ(st.sketches.size(), 8u);
+}
+
+TEST(BucketLifecycle, OnlySizeFeasibleBucketsBuildZ3AndNoneOutliveTheRun) {
+  // bench_sec61's quick-scale bounds: 18 of the 128 reno buckets fit in 7
+  // nodes.
+  SynthesisOptions opts = quick_opts();
+  opts.max_nodes = 7;
+  opts.max_holes = 3;
+  opts.initial_samples = 2;
+  opts.concretize_budget = 4;
+  opts.max_iterations = 2;
+  opts.exhaustive_cap = 8;
+  auto& built = obs::counter("synth.enumerators_built");
+  auto& build_us = obs::histogram("synth.enum_build_us");
+  auto& teardown_us = obs::histogram("synth.enum_teardown_us");
+  const auto built0 = built.value();
+  const auto build0 = build_us.count();
+  const auto teardown0 = teardown_us.count();
+  const auto result = synthesize(dsl::reno_dsl(), reno_segments(), opts);
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+  EXPECT_EQ(result.initial_buckets, 128u);
+  EXPECT_EQ(built.value() - built0, 18u);
+  EXPECT_EQ(build_us.count() - build0, built.value() - built0);
+  EXPECT_EQ(teardown_us.count() - teardown0, built.value() - built0);
 }
 
 }  // namespace
