@@ -22,16 +22,14 @@ util::Status bad(const std::string& msg) {
 util::Status read_int(const util::JsonValue& obj, const std::string& key, int* out) {
   const auto* v = obj.find(key);
   if (!v) return util::Status::ok();
-  if (!v->is_number()) return bad("'" + key + "' must be a number");
-  *out = static_cast<int>(v->as_int());
+  if (!util::json_integer(*v, out)) return bad("'" + key + "' must be an integer in int range");
   return util::Status::ok();
 }
 
 util::Status read_size(const util::JsonValue& obj, const std::string& key, std::size_t* out) {
   const auto* v = obj.find(key);
   if (!v) return util::Status::ok();
-  if (!v->is_number() || v->as_double() < 0) return bad("'" + key + "' must be a non-negative number");
-  *out = static_cast<std::size_t>(v->as_int());
+  if (!util::json_integer(*v, out)) return bad("'" + key + "' must be a non-negative integer");
   return util::Status::ok();
 }
 
@@ -146,17 +144,12 @@ util::Status spec_from_json(const util::JsonValue& j, JobSpec* spec) {
     }
   }
   // "seed": a decimal string carries the full u64 range; a JSON number is
-  // also accepted (legacy manifests) but loses precision above 2^53.
+  // also accepted (legacy manifests) up to 2^53, where doubles stop being
+  // exact integers.
   if (const auto* v = j.find("seed")) {
-    if (v->is_string()) {
-      if (!util::parse_u64(v->as_string(), &synth.seed)) {
-        return bad("'seed' must be a u64 (number or decimal string)");
-      }
-    } else if (v->is_number()) {
-      synth.seed = static_cast<std::uint64_t>(v->as_int());
-    } else {
-      return bad("'seed' must be a u64 (number or decimal string)");
-    }
+    const bool ok = v->is_string() ? util::parse_u64(v->as_string(), &synth.seed)
+                                   : util::json_integer(*v, &synth.seed);
+    if (!ok) return bad("'seed' must be a u64 (number up to 2^53 or decimal string)");
   }
   if (auto st = read_int(j, "max_iterations", &synth.max_iterations); !st.is_ok()) return st;
   if (auto st = read_int(j, "initial_samples", &synth.initial_samples); !st.is_ok()) return st;
@@ -197,9 +190,6 @@ util::Status spec_from_json(const util::JsonValue& j, JobSpec* spec) {
   if (auto st = read_bool(j, "fast_path", &fast_path); !st.is_ok()) return st;
   synth.use_eval_cache = fast_path;
   synth.early_abandon = fast_path;
-  // The batched bytecode path is part of the same "how much work, same
-  // result" family, so the one manifest knob governs all three.
-  synth.batch_replay = fast_path;
 
   // "simd": pin this job's DTW kernel tier ("scalar"/"sse2"/"avx2"/"auto").
   // Default auto defers to ABG_SIMD and CPU detection; an unknown name is a
@@ -297,7 +287,7 @@ std::string spec_to_json(const JobSpec& spec) {
   w.key("min_segment_samples");
   w.value(static_cast<std::uint64_t>(spec.pipeline.min_segment_samples));
   w.key("fast_path");
-  w.value(synth.use_eval_cache && synth.early_abandon && synth.batch_replay);
+  w.value(synth.use_eval_cache && synth.early_abandon);
   if (synth.simd != distance::Simd::kAuto) {
     w.key("simd");
     w.value(distance::simd_name(synth.simd));
@@ -314,6 +304,48 @@ std::string spec_to_json(const JobSpec& spec) {
   w.value(synth.journal);
   w.end_object();
   return w.take();
+}
+
+void job_result_to_json(obs::JsonWriter& w, const JobResult& r) {
+  w.key("kind");
+  w.value(r.kind == JobSpec::Kind::kMister880 ? "mister880" : "pipeline");
+  w.key("status");
+  w.value(r.status.to_string());
+  w.key("exit_class");
+  w.value(static_cast<std::int64_t>(r.exit_class()));
+  w.key("found");
+  w.value(r.found());
+  if (r.kind == JobSpec::Kind::kPipeline && r.found()) {
+    w.key("dsl");
+    w.value(r.pipeline.dsl_name);
+    w.key("handler");
+    w.value(r.pipeline.handler_string());
+    w.key("distance");
+    w.value(r.pipeline.distance());
+  }
+  w.key("segments_total");
+  w.value(static_cast<std::uint64_t>(r.segments_total));
+  w.key("cache_hits");
+  w.value(r.cache_hits);
+  w.key("cache_misses");
+  w.value(r.cache_misses);
+  w.key("seconds");
+  w.value(r.seconds);
+  // Per-iteration convergence series: plotting a paper-style search-progress
+  // curve needs only this.
+  w.key("convergence");
+  w.begin_array();
+  for (const auto& p : r.convergence) {
+    w.begin_object();
+    w.key("iteration");
+    w.value(static_cast<std::int64_t>(p.iteration));
+    w.key("best_distance");
+    w.value(p.best_distance);
+    w.key("wall_ms");
+    w.value(p.wall_ms);
+    w.end_object();
+  }
+  w.end_array();
 }
 
 namespace {

@@ -39,6 +39,7 @@
 
 #include "api/engine.hpp"
 #include "api/job.hpp"
+#include "obs/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/result.hpp"
 
@@ -75,12 +76,19 @@ util::Result<JobSpec> parse_job_spec(std::string_view json_text);
 // parses back to infinity; max_depth/max_nodes serialize as null when
 // unbounded. seed serializes as a decimal string (a JSON double cannot carry
 // a full u64 bit-exactly; numbers are still accepted on parse for legacy
-// manifests). fast_path collapses the three work-saving knobs
-// (use_eval_cache / early_abandon / batch_replay) to their conjunction, as
-// the parse side has always fanned one key into all three.
+// manifests, up to 2^53). fast_path collapses the two work-saving knobs
+// (use_eval_cache / early_abandon: no memo cache and no early abandon when
+// false) to their conjunction, as the parse side fans one key into both.
 util::Status spec_from_json(const util::JsonValue& j, JobSpec* spec);
 util::Result<JobSpec> spec_from_json(std::string_view json_text);
 std::string spec_to_json(const JobSpec& spec);
+
+// The one JobResult shape: its fields (kind, status, exit_class, found, the
+// winner's dsl/handler/distance when found, segments_total, cache traffic,
+// seconds, convergence) written into the JSON object the caller has opened,
+// so each surface adds only its own keys — the service's id/partial, the
+// batch report's name.
+void job_result_to_json(obs::JsonWriter& w, const JobResult& r);
 
 // Load + parse a manifest file.
 util::Result<Manifest> load_manifest(const std::string& path);

@@ -1,47 +1,21 @@
-// Wire codecs for the coordinator<->worker shard protocol (ISSUE 9). The
-// protocol is JSON over the same dependency-free HTTP plumbing the status
-// surface uses, but the payloads carry search state whose doubles must
-// round-trip bit-exactly (a distance that gains an ULP in transit breaks the
-// bit-identity guarantee). So:
-//
-//   - doubles travel as C99 hex-float strings ("%a", like the checkpoint
-//     file format), parsed back with strtod; inf/nan spell themselves.
-//   - u64s travel as decimal strings (JSON numbers are doubles; RNG state
-//     words do not survive a double round-trip).
-//
-// The unit of exchange is synth::BucketCheckpoint — the same record the
-// single-process checkpoint file stores per bucket — so worker results,
-// reassignment payloads, and the coordinator's durable checkpoint are all
-// one representation.
+// Wire codecs for the coordinator<->worker shard protocol: JSON over the
+// same dependency-free HTTP plumbing the status surface uses. The payloads
+// carry search state whose doubles must round-trip bit-exactly (a distance
+// that gains an ULP in transit breaks the bit-identity guarantee), so they
+// use synth/checkpoint's value codec — hex-float doubles, decimal-string
+// u64s, and synth::BucketCheckpoint as the unit of exchange. Worker
+// results, reassignment payloads and the checkpoint file are therefore one
+// encoding; this header only re-exports the parts the protocol calls under
+// dist::.
 #pragma once
 
-#include <string>
-
-#include "obs/json.hpp"
 #include "synth/checkpoint.hpp"
-#include "util/json_parse.hpp"
-#include "util/result.hpp"
-#include "util/rng.hpp"
-#include "util/status.hpp"
 
 namespace abg::dist {
 
-// "%a" rendering; "inf"/"-inf"/"nan" for non-finite (strtod-parseable).
-std::string hex_double(double v);
-// Inverse of hex_double (accepts any strtod spelling). False on garbage.
-bool parse_hex_double(const std::string& s, double* out);
-
-// JSON value writers (the caller owns surrounding object/array structure).
-void write_u64(obs::JsonWriter& w, std::uint64_t v);          // decimal string
-void write_double(obs::JsonWriter& w, double v);              // hex-float string
-void write_rng_state(obs::JsonWriter& w, const util::Rng::State& st);
-void write_bucket_checkpoint(obs::JsonWriter& w, const synth::BucketCheckpoint& ck);
-
-// JSON value readers. kParseError naming the field on any malformed input —
-// a truncated or hand-mangled message must reject cleanly, never wedge.
-util::Status u64_from_json(const util::JsonValue& j, const char* field, std::uint64_t* out);
-util::Status double_from_json(const util::JsonValue& j, const char* field, double* out);
-util::Status rng_state_from_json(const util::JsonValue& j, util::Rng::State* out);
-util::Status bucket_checkpoint_from_json(const util::JsonValue& j, synth::BucketCheckpoint* out);
+using synth::bucket_checkpoint_from_json;
+using synth::u64_from_json;
+using synth::write_bucket_checkpoint;
+using synth::write_u64;
 
 }  // namespace abg::dist

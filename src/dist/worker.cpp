@@ -41,11 +41,10 @@ bool parse_body(const obs::HttpRequest& req, util::JsonValue* doc, obs::HttpResp
 bool read_u64_field(const util::JsonValue& doc, const char* key, std::uint64_t* out,
                     obs::HttpResponse* resp) {
   const auto* v = doc.find(key);
-  if (v == nullptr || !v->is_number() || v->as_double() < 0.0) {
-    *resp = parse_error(std::string("'") + key + "' must be a non-negative number");
+  if (v == nullptr || !util::json_integer(*v, out)) {
+    *resp = parse_error(std::string("'") + key + "' must be a non-negative integer");
     return false;
   }
-  *out = static_cast<std::uint64_t>(v->as_int());
   return true;
 }
 
@@ -200,10 +199,11 @@ obs::HttpResponse Worker::handle_iterate(const obs::HttpRequest& req) {
   if (const auto* wv = doc.find("working"); wv != nullptr) {
     if (!wv->is_array()) return parse_error("'working' must be an array of segment indices");
     for (const auto& item : wv->items()) {
-      if (!item.is_number() || item.as_double() < 0.0) {
+      std::size_t idx = 0;
+      if (!util::json_integer(item, &idx)) {
         return parse_error("'working' entries must be non-negative indices");
       }
-      working.push_back(static_cast<std::size_t>(item.as_int()));
+      working.push_back(idx);
     }
   }
 

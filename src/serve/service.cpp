@@ -66,43 +66,7 @@ std::string job_result_json(const std::string& id, const api::JobResult& r,
   w.value(id);
   w.key("partial");
   w.value(partial);
-  w.key("kind");
-  w.value(r.kind == api::JobSpec::Kind::kMister880 ? "mister880" : "pipeline");
-  w.key("status");
-  w.value(r.status.to_string());
-  w.key("exit_class");
-  w.value(static_cast<std::int64_t>(r.exit_class()));
-  w.key("found");
-  w.value(r.found());
-  if (r.kind == api::JobSpec::Kind::kPipeline && r.found()) {
-    w.key("dsl");
-    w.value(r.pipeline.dsl_name);
-    w.key("handler");
-    w.value(r.pipeline.handler_string());
-    w.key("distance");
-    w.value(r.pipeline.distance());
-  }
-  w.key("segments_total");
-  w.value(static_cast<std::uint64_t>(r.segments_total));
-  w.key("cache_hits");
-  w.value(r.cache_hits);
-  w.key("cache_misses");
-  w.value(r.cache_misses);
-  w.key("seconds");
-  w.value(r.seconds);
-  w.key("convergence");
-  w.begin_array();
-  for (const auto& p : r.convergence) {
-    w.begin_object();
-    w.key("iteration");
-    w.value(static_cast<std::int64_t>(p.iteration));
-    w.key("best_distance");
-    w.value(p.best_distance);
-    w.key("wall_ms");
-    w.value(p.wall_ms);
-    w.end_object();
-  }
-  w.end_array();
+  api::job_result_to_json(w, r);
   w.end_object();
   return w.take();
 }

@@ -1,7 +1,7 @@
 #include "synth/checkpoint.hpp"
 
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "util/csv.hpp"
 #include "util/durable_io.hpp"
@@ -11,93 +11,276 @@ namespace abg::synth {
 
 namespace {
 
-using util::Result;
+using util::JsonValue;
 using util::Status;
 using util::StatusCode;
 
-constexpr const char* kMagic = "abagnale-checkpoint v1";
+constexpr const char* kFormat = "abagnale-checkpoint v2";
 
-// %a hex-float round-trips every finite double bit-exactly and prints
-// inf/nan as strtod-parseable words.
-std::string fmt_double(double v) {
+Status bad(const std::string& msg) { return Status(StatusCode::kParseError, msg); }
+
+// "%a" rendering; "inf"/"-inf"/"nan" for non-finite (strtod-parseable).
+std::string hex_double(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
+  std::snprintf(buf, sizeof buf, "%a", v);
   return buf;
 }
 
-std::string fmt_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
+void write_double(obs::JsonWriter& w, double v) { w.value(hex_double(v)); }
+
+void write_rng_state(obs::JsonWriter& w, const util::Rng::State& st) {
+  w.begin_array();
+  for (std::uint64_t word : st.s) write_u64(w, word);
+  w.value(st.have_cached_normal ? "1" : "0");
+  write_double(w, st.cached_normal);
+  w.end_array();
 }
 
-void append_rng(std::vector<std::string>& f, const util::Rng::State& st) {
-  for (std::uint64_t s : st.s) f.push_back(fmt_u64(s));
-  f.push_back(st.have_cached_normal ? "1" : "0");
-  f.push_back(fmt_double(st.cached_normal));
+Status double_from_json(const JsonValue& j, const char* field, double* out) {
+  if (!j.is_string() || !util::parse_double(j.as_string(), out)) {
+    return bad(std::string("'") + field + "' must be a hex-float string");
+  }
+  return Status::ok();
 }
 
-std::vector<std::string> split_tabs(const std::string& line) {
-  std::vector<std::string> out;
-  std::string field;
-  for (char c : line) {
-    if (c == '\t') {
-      out.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
+Status rng_state_from_json(const JsonValue& j, util::Rng::State* out) {
+  if (!j.is_array() || j.items().size() != 6) {
+    return bad("'rng' must be a 6-element array");
+  }
+  util::Rng::State st;
+  for (int i = 0; i < 4; ++i) {
+    if (auto s = u64_from_json(j.items()[static_cast<std::size_t>(i)], "rng", &st.s[i]);
+        !s.is_ok()) {
+      return s;
     }
   }
-  out.push_back(std::move(field));
-  return out;
+  const auto& flag = j.items()[4];
+  if (!flag.is_string() || (flag.as_string() != "0" && flag.as_string() != "1")) {
+    return bad("'rng' cached-normal flag must be \"0\" or \"1\"");
+  }
+  st.have_cached_normal = flag.as_string() == "1";
+  if (auto s = double_from_json(j.items()[5], "rng", &st.cached_normal); !s.is_ok()) return s;
+  *out = st;
+  return Status::ok();
 }
 
-// Line-oriented reader with tagged parse errors.
-struct Reader {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
+// Object members, one per call: the key, then the value in the codec's
+// encoding for its type.
+void put_text(obs::JsonWriter& w, const char* key, std::string_view v) {
+  w.key(key);
+  w.value(v);
+}
+void put_flag(obs::JsonWriter& w, const char* key, bool v) {
+  w.key(key);
+  w.value(v);
+}
+void put_int(obs::JsonWriter& w, const char* key, std::int64_t v) {
+  w.key(key);
+  w.value(v);
+}
+void put_count(obs::JsonWriter& w, const char* key, std::uint64_t v) {
+  w.key(key);
+  w.value(v);
+}
+void put_u64(obs::JsonWriter& w, const char* key, std::uint64_t v) {
+  w.key(key);
+  write_u64(w, v);
+}
+void put_hex(obs::JsonWriter& w, const char* key, double v) {
+  w.key(key);
+  write_double(w, v);
+}
 
-  Status error(const char* what) const {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "line %zu: %s", pos, what);
-    return Status(StatusCode::kParseError, buf);
+// Reads the members of one JSON object in a row and keeps the first failure,
+// so a record is checked once after all of its fields are read.
+class Fields {
+ public:
+  explicit Fields(const JsonValue& obj) : obj_(obj) {
+    if (!obj.is_object()) status_ = bad("expected a JSON object");
   }
 
-  // Next line's tab-separated fields; fields[0] must equal `keyword` and the
-  // count must be at least `min_fields` (keyword included).
-  Result<std::vector<std::string>> expect(const char* keyword, std::size_t min_fields) {
-    if (pos >= lines.size()) return error("unexpected end of checkpoint");
-    auto fields = split_tabs(lines[pos]);
-    ++pos;
-    if (fields.empty() || fields[0] != keyword) return error("unexpected record");
-    if (fields.size() < min_fields) return error("truncated record");
-    return fields;
+  const Status& status() const { return status_; }
+
+  void text(const char* key, std::string* out) {
+    const JsonValue& v = get(key);
+    if (expect(v.is_string(), key, "a string")) *out = v.as_string();
   }
+  void flag(const char* key, bool* out) {
+    const JsonValue& v = get(key);
+    if (expect(v.is_bool(), key, "a bool")) *out = v.as_bool();
+  }
+  // A JSON number; only whole values within T's range are accepted.
+  template <typename T>
+  void integer(const char* key, T* out) {
+    T v{};
+    if (expect(util::json_integer(get(key), &v), key, "an integer in range")) *out = v;
+  }
+  void u64(const char* key, std::uint64_t* out) {
+    if (status_.is_ok()) status_ = u64_from_json(get(key), key, out);
+  }
+  void hex(const char* key, double* out) {
+    if (status_.is_ok()) status_ = double_from_json(get(key), key, out);
+  }
+  // A nested value that decodes through `read(value, out)`.
+  template <typename T, typename Read>
+  void record(const char* key, T* out, Read read) {
+    if (status_.is_ok()) status_ = read(get(key), out);
+  }
+  // An array whose items decode through `read(item, &elem)`.
+  template <typename T, typename Read>
+  void list(const char* key, std::vector<T>* out, Read read) {
+    const JsonValue& v = get(key);
+    if (!expect(v.is_array(), key, "an array")) return;
+    for (const auto& item : v.items()) {
+      T elem{};
+      status_ = read(item, &elem);
+      if (!status_.is_ok()) return;
+      out->push_back(std::move(elem));
+    }
+  }
+
+ private:
+  const JsonValue& get(const char* key) const {
+    static const JsonValue kMissing;
+    const JsonValue* v = obj_.find(key);
+    return v != nullptr ? *v : kMissing;
+  }
+  bool expect(bool ok, const char* key, const char* what) {
+    if (status_.is_ok() && !ok) status_ = bad(std::string("'") + key + "' must be " + what);
+    return status_.is_ok();
+  }
+
+  const JsonValue& obj_;
+  Status status_;
 };
 
-bool parse_rng(const std::vector<std::string>& f, std::size_t at, util::Rng::State* out) {
-  if (at + 6 > f.size()) return false;
-  for (int i = 0; i < 4; ++i) {
-    if (!util::parse_u64(f[at + static_cast<std::size_t>(i)], &out->s[i])) return false;
+}  // namespace
+
+// --- Value codec. ------------------------------------------------------------
+
+void write_u64(obs::JsonWriter& w, std::uint64_t v) { w.value(std::to_string(v)); }
+
+void write_bucket_checkpoint(obs::JsonWriter& w, const BucketCheckpoint& ck) {
+  w.begin_object();
+  put_text(w, "label", ck.label);
+  put_count(w, "sketches", ck.sketches);
+  put_count(w, "handlers_scored", ck.handlers_scored);
+  put_flag(w, "exhausted", ck.exhausted);
+  w.key("rng");
+  write_rng_state(w, ck.rng);
+  put_hex(w, "best_distance", ck.best_distance);
+  put_text(w, "best_sketch", ck.best_sketch);
+  put_text(w, "best_handler", ck.best_handler);
+  w.end_object();
+}
+
+util::Status u64_from_json(const JsonValue& j, const char* field, std::uint64_t* out) {
+  if (!j.is_string() || !util::parse_u64(j.as_string(), out)) {
+    return bad(std::string("'") + field + "' must be a decimal-string u64");
   }
-  if (f[at + 4] != "0" && f[at + 4] != "1") return false;
-  out->have_cached_normal = f[at + 4] == "1";
-  return util::parse_double(f[at + 5], &out->cached_normal);
+  return Status::ok();
 }
 
-bool parse_size(const std::string& s, std::size_t* out) {
-  std::uint64_t v = 0;
-  if (!util::parse_u64(s, &v)) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
+util::Status bucket_checkpoint_from_json(const JsonValue& j, BucketCheckpoint* out) {
+  BucketCheckpoint ck;
+  Fields f(j);
+  f.text("label", &ck.label);
+  f.integer("sketches", &ck.sketches);
+  f.integer("handlers_scored", &ck.handlers_scored);
+  f.flag("exhausted", &ck.exhausted);
+  f.record("rng", &ck.rng, rng_state_from_json);
+  f.hex("best_distance", &ck.best_distance);
+  f.text("best_sketch", &ck.best_sketch);
+  f.text("best_handler", &ck.best_handler);
+  if (!f.status().is_ok()) return f.status();
+  if (ck.label.empty()) return bad("'label' must be a non-empty string");
+  *out = std::move(ck);
+  return Status::ok();
 }
 
-bool parse_int(const std::string& s, int* out) {
-  std::uint64_t v = 0;
-  bool neg = !s.empty() && s[0] == '-';
-  if (!util::parse_u64(neg ? s.substr(1) : s, &v) || v > 1u << 30) return false;
-  *out = neg ? -static_cast<int>(v) : static_cast<int>(v);
-  return true;
+// --- Checkpoint file. --------------------------------------------------------
+
+namespace {
+
+void write_scored(obs::JsonWriter& w, const ScoredHandlerCheckpoint& c) {
+  w.begin_object();
+  put_hex(w, "distance", c.distance);
+  put_text(w, "sketch", c.sketch);
+  put_text(w, "handler", c.handler);
+  w.end_object();
+}
+
+void write_iteration_report(obs::JsonWriter& w, const IterationReport& it) {
+  w.begin_object();
+  put_int(w, "n_target", it.n_target);
+  put_int(w, "keep", it.keep);
+  put_count(w, "segments_used", it.segments_used);
+  put_hex(w, "seconds", it.seconds);
+  put_hex(w, "best_distance", it.best_distance);
+  put_u64(w, "cache_hits", it.cache_hits);
+  put_u64(w, "cache_misses", it.cache_misses);
+  w.key("buckets");
+  w.begin_array();
+  for (const auto& br : it.buckets) {
+    w.begin_object();
+    put_text(w, "label", br.label);
+    put_hex(w, "score", br.score);
+    put_count(w, "sketches_enumerated", br.sketches_enumerated);
+    put_count(w, "handlers_scored", br.handlers_scored);
+    put_flag(w, "exhausted", br.exhausted);
+    put_flag(w, "retained", br.retained);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+}
+
+template <typename T, typename Write>
+void put_list(obs::JsonWriter& w, const char* key, const std::vector<T>& items, Write write) {
+  w.key(key);
+  w.begin_array();
+  for (const auto& item : items) write(w, item);
+  w.end_array();
+}
+
+void write_index(obs::JsonWriter& w, std::size_t idx) { w.value(static_cast<std::uint64_t>(idx)); }
+
+Status index_from_json(const JsonValue& j, std::size_t* out) {
+  return util::json_integer(j, out) ? Status::ok() : bad("index must be a non-negative integer");
+}
+
+Status scored_from_json(const JsonValue& j, ScoredHandlerCheckpoint* out) {
+  Fields f(j);
+  f.hex("distance", &out->distance);
+  f.text("sketch", &out->sketch);
+  f.text("handler", &out->handler);
+  return f.status();
+}
+
+Status bucket_report_from_json(const JsonValue& j, BucketReport* out) {
+  Fields f(j);
+  f.text("label", &out->label);
+  f.hex("score", &out->score);
+  f.integer("sketches_enumerated", &out->sketches_enumerated);
+  f.integer("handlers_scored", &out->handlers_scored);
+  f.flag("exhausted", &out->exhausted);
+  f.flag("retained", &out->retained);
+  return f.status();
+}
+
+Status iteration_report_from_json(const JsonValue& j, IterationReport* out) {
+  Fields f(j);
+  f.integer("n_target", &out->n_target);
+  f.integer("keep", &out->keep);
+  f.integer("segments_used", &out->segments_used);
+  f.hex("seconds", &out->seconds);
+  f.hex("best_distance", &out->best_distance);
+  f.u64("cache_hits", &out->cache_hits);
+  f.u64("cache_misses", &out->cache_misses);
+  f.list("buckets", &out->buckets, bucket_report_from_json);
+  return f.status();
 }
 
 }  // namespace
@@ -106,72 +289,29 @@ util::Status save_checkpoint(const Checkpoint& ck, const std::string& path) {
   if (util::fault::io_fail("checkpoint.save")) {
     return Status(StatusCode::kIoError, "injected I/O fault writing " + path);
   }
-  std::string out = kMagic;
-  out += '\n';
-  auto line = [&out](std::vector<std::string> fields) {
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i > 0) out += '\t';
-      out += fields[i];
-    }
-    out += '\n';
-  };
-  line({"pool_fp", fmt_u64(ck.pool_fingerprint)});
-  line({"seed", fmt_u64(ck.seed)});
-  line({"next_iter", fmt_u64(static_cast<std::uint64_t>(ck.next_iter))});
-  line({"n", fmt_u64(static_cast<std::uint64_t>(ck.n))});
-  line({"k", fmt_u64(static_cast<std::uint64_t>(ck.k))});
-  line({"best", fmt_double(ck.best.distance), ck.best.sketch, ck.best.handler});
-  {
-    std::vector<std::string> f{"sampler_rng"};
-    append_rng(f, ck.sampler_rng);
-    line(std::move(f));
-  }
-  {
-    std::vector<std::string> f{"sampler_selected"};
-    for (std::size_t idx : ck.sampler_selected) f.push_back(fmt_u64(idx));
-    line(std::move(f));
-  }
-  {
-    std::vector<std::string> f{"live"};
-    for (std::size_t idx : ck.live) f.push_back(fmt_u64(idx));
-    line(std::move(f));
-  }
-  line({"buckets", fmt_u64(ck.buckets.size())});
-  for (const auto& b : ck.buckets) {
-    std::vector<std::string> f{"bucket",
-                               b.label,
-                               fmt_u64(b.sketches),
-                               fmt_u64(b.handlers_scored),
-                               b.exhausted ? "1" : "0"};
-    append_rng(f, b.rng);
-    f.push_back(fmt_double(b.best_distance));
-    f.push_back(b.best_sketch);
-    f.push_back(b.best_handler);
-    line(std::move(f));
-  }
-  line({"candidates", fmt_u64(ck.candidates.size())});
-  for (const auto& c : ck.candidates) {
-    line({"cand", fmt_double(c.distance), c.sketch, c.handler});
-  }
-  line({"iterations", fmt_u64(ck.iterations.size())});
-  for (const auto& it : ck.iterations) {
-    // The three trailing fields (best_distance, cumulative cache hits and
-    // misses) were appended after the format shipped; the reader tolerates
-    // their absence, so old checkpoints stay loadable.
-    line({"iter", fmt_u64(static_cast<std::uint64_t>(it.n_target)),
-          fmt_u64(static_cast<std::uint64_t>(it.keep)), fmt_u64(it.segments_used),
-          fmt_double(it.seconds), fmt_u64(it.buckets.size()), fmt_double(it.best_distance),
-          fmt_u64(it.cache_hits), fmt_u64(it.cache_misses)});
-    for (const auto& br : it.buckets) {
-      line({"ib", br.label, fmt_double(br.score), fmt_u64(br.sketches_enumerated),
-            fmt_u64(br.handlers_scored), br.exhausted ? "1" : "0", br.retained ? "1" : "0"});
-    }
-  }
+  obs::JsonWriter w;
+  w.begin_object();
+  put_text(w, "format", kFormat);
+  put_u64(w, "pool_fingerprint", ck.pool_fingerprint);
+  put_u64(w, "seed", ck.seed);
+  put_int(w, "next_iter", ck.next_iter);
+  put_int(w, "n", ck.n);
+  put_int(w, "k", ck.k);
+  w.key("best");
+  write_scored(w, ck.best);
+  w.key("sampler_rng");
+  write_rng_state(w, ck.sampler_rng);
+  put_list(w, "sampler_selected", ck.sampler_selected, write_index);
+  put_list(w, "live", ck.live, write_index);
+  put_list(w, "buckets", ck.buckets, write_bucket_checkpoint);
+  put_list(w, "candidates", ck.candidates, write_scored);
+  put_list(w, "iterations", ck.iterations, write_iteration_report);
+  w.end_object();
 
   // Durable, not just atomic: the file is fsync'd before the rename and the
   // parent directory after it, so a checkpoint the serve WAL points at can
-  // never be a torn or absent file after power loss (ISSUE 8).
-  return util::atomic_write_file(path, out, /*durable=*/true);
+  // never be a torn or absent file after power loss.
+  return util::atomic_write_file(path, w.take(), /*durable=*/true);
 }
 
 util::Result<Checkpoint> load_checkpoint(const std::string& path) {
@@ -182,152 +322,33 @@ util::Result<Checkpoint> load_checkpoint(const std::string& path) {
   if (!util::read_file(path, &content)) {
     return Status(StatusCode::kIoError, "cannot read " + path);
   }
-
-  Reader r;
-  {
-    std::string cur;
-    for (char c : content) {
-      if (c == '\n') {
-        r.lines.push_back(std::move(cur));
-        cur.clear();
-      } else {
-        cur += c;
-      }
-    }
-    if (!cur.empty()) r.lines.push_back(std::move(cur));
+  if (content.rfind("abagnale-checkpoint v1", 0) == 0) {
+    return bad(std::string("tab-separated abagnale-checkpoint v1 file; this build reads only ") +
+               kFormat)
+        .with_context(path);
   }
-  if (r.lines.empty() || r.lines[0] != kMagic) {
-    return Status(StatusCode::kParseError, "not an abagnale checkpoint: " + path);
+  auto doc = util::parse_json(content);
+  if (!doc.ok()) return doc.status().with_context(path);
+  const JsonValue* format = doc->find("format");
+  if (format == nullptr || !format->is_string() || format->as_string() != kFormat) {
+    return bad(std::string("not an ") + kFormat + " document").with_context(path);
   }
-  r.pos = 1;
 
   Checkpoint ck;
-  auto fail = [&](const char* what) { return r.error(what).with_context(path); };
-
-  auto u64_field = [&r](const char* key, std::uint64_t* out) -> Status {
-    auto f = r.expect(key, 2);
-    if (!f.ok()) return f.status();
-    if (!util::parse_u64((*f)[1], out)) return r.error("bad integer");
-    return Status::ok();
-  };
-  std::uint64_t tmp = 0;
-  if (auto st = u64_field("pool_fp", &ck.pool_fingerprint); !st.is_ok()) return st;
-  if (auto st = u64_field("seed", &ck.seed); !st.is_ok()) return st;
-  if (auto st = u64_field("next_iter", &tmp); !st.is_ok()) return st;
-  ck.next_iter = static_cast<int>(tmp);
-  if (auto st = u64_field("n", &tmp); !st.is_ok()) return st;
-  ck.n = static_cast<int>(tmp);
-  if (auto st = u64_field("k", &tmp); !st.is_ok()) return st;
-  ck.k = static_cast<int>(tmp);
-
-  {
-    auto f = r.expect("best", 4);
-    if (!f.ok()) return f.status();
-    if (!util::parse_double((*f)[1], &ck.best.distance)) return fail("bad best distance");
-    ck.best.sketch = (*f)[2];
-    ck.best.handler = (*f)[3];
-  }
-  {
-    auto f = r.expect("sampler_rng", 7);
-    if (!f.ok()) return f.status();
-    if (!parse_rng(*f, 1, &ck.sampler_rng)) return fail("bad sampler rng");
-  }
-  {
-    auto f = r.expect("sampler_selected", 1);
-    if (!f.ok()) return f.status();
-    for (std::size_t i = 1; i < f->size(); ++i) {
-      std::size_t idx = 0;
-      if (!parse_size((*f)[i], &idx)) return fail("bad sampler index");
-      ck.sampler_selected.push_back(idx);
-    }
-  }
-  {
-    auto f = r.expect("live", 1);
-    if (!f.ok()) return f.status();
-    for (std::size_t i = 1; i < f->size(); ++i) {
-      std::size_t idx = 0;
-      if (!parse_size((*f)[i], &idx)) return fail("bad live index");
-      ck.live.push_back(idx);
-    }
-  }
-  {
-    auto f = r.expect("buckets", 2);
-    if (!f.ok()) return f.status();
-    std::size_t count = 0;
-    if (!parse_size((*f)[1], &count)) return fail("bad bucket count");
-    for (std::size_t i = 0; i < count; ++i) {
-      auto bf = r.expect("bucket", 14);
-      if (!bf.ok()) return bf.status();
-      BucketCheckpoint b;
-      b.label = (*bf)[1];
-      if (!parse_size((*bf)[2], &b.sketches)) return fail("bad sketch count");
-      if (!parse_size((*bf)[3], &b.handlers_scored)) return fail("bad handler count");
-      b.exhausted = (*bf)[4] == "1";
-      if (!parse_rng(*bf, 5, &b.rng)) return fail("bad bucket rng");
-      if (!util::parse_double((*bf)[11], &b.best_distance)) return fail("bad bucket distance");
-      b.best_sketch = (*bf)[12];
-      b.best_handler = (*bf)[13];
-      ck.buckets.push_back(std::move(b));
-    }
-  }
-  {
-    auto f = r.expect("candidates", 2);
-    if (!f.ok()) return f.status();
-    std::size_t count = 0;
-    if (!parse_size((*f)[1], &count)) return fail("bad candidate count");
-    for (std::size_t i = 0; i < count; ++i) {
-      auto cf = r.expect("cand", 4);
-      if (!cf.ok()) return cf.status();
-      ScoredHandlerCheckpoint c;
-      if (!util::parse_double((*cf)[1], &c.distance)) return fail("bad candidate distance");
-      c.sketch = (*cf)[2];
-      c.handler = (*cf)[3];
-      ck.candidates.push_back(std::move(c));
-    }
-  }
-  {
-    auto f = r.expect("iterations", 2);
-    if (!f.ok()) return f.status();
-    std::size_t count = 0;
-    if (!parse_size((*f)[1], &count)) return fail("bad iteration count");
-    for (std::size_t i = 0; i < count; ++i) {
-      auto itf = r.expect("iter", 6);
-      if (!itf.ok()) return itf.status();
-      IterationReport rep;
-      std::size_t nbuckets = 0;
-      if (!parse_int((*itf)[1], &rep.n_target) || !parse_int((*itf)[2], &rep.keep) ||
-          !parse_size((*itf)[3], &rep.segments_used) ||
-          !util::parse_double((*itf)[4], &rep.seconds) || !parse_size((*itf)[5], &nbuckets)) {
-        return fail("bad iteration record");
-      }
-      // Convergence fields, appended in a later format revision: present in
-      // new checkpoints, silently defaulted for old ones.
-      if (itf->size() >= 9) {
-        std::size_t hits = 0, misses = 0;
-        if (!util::parse_double((*itf)[6], &rep.best_distance) ||
-            !parse_size((*itf)[7], &hits) || !parse_size((*itf)[8], &misses)) {
-          return fail("bad iteration convergence record");
-        }
-        rep.cache_hits = hits;
-        rep.cache_misses = misses;
-      }
-      for (std::size_t j = 0; j < nbuckets; ++j) {
-        auto ibf = r.expect("ib", 7);
-        if (!ibf.ok()) return ibf.status();
-        BucketReport br;
-        br.label = (*ibf)[1];
-        if (!util::parse_double((*ibf)[2], &br.score) ||
-            !parse_size((*ibf)[3], &br.sketches_enumerated) ||
-            !parse_size((*ibf)[4], &br.handlers_scored)) {
-          return fail("bad iteration bucket record");
-        }
-        br.exhausted = (*ibf)[5] == "1";
-        br.retained = (*ibf)[6] == "1";
-        rep.buckets.push_back(std::move(br));
-      }
-      ck.iterations.push_back(std::move(rep));
-    }
-  }
+  Fields f(*doc);
+  f.u64("pool_fingerprint", &ck.pool_fingerprint);
+  f.u64("seed", &ck.seed);
+  f.integer("next_iter", &ck.next_iter);
+  f.integer("n", &ck.n);
+  f.integer("k", &ck.k);
+  f.record("best", &ck.best, scored_from_json);
+  f.record("sampler_rng", &ck.sampler_rng, rng_state_from_json);
+  f.list("sampler_selected", &ck.sampler_selected, index_from_json);
+  f.list("live", &ck.live, index_from_json);
+  f.list("buckets", &ck.buckets, bucket_checkpoint_from_json);
+  f.list("candidates", &ck.candidates, scored_from_json);
+  f.list("iterations", &ck.iterations, iteration_report_from_json);
+  if (!f.status().is_ok()) return f.status().with_context(path);
   return ck;
 }
 

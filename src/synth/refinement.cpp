@@ -38,160 +38,6 @@ struct BatchEntry {
   bool pending = false;
 };
 
-// Batched replacement for score_sketch's scalar candidate loop. Selection
-// stays bit-identical to the scalar loop for every result the refinement
-// loop consumes: pending candidates are evaluated against the cutoff as it
-// stood when their window opened (c0), which can only make their distance
-// MORE exact than the scalar path's (+inf from a tighter mid-window bound),
-// and score_sketch's contract already allows exact-or-+inf above the
-// caller's bound. Best/cutoff updates happen in an in-order walk at flush,
-// so the winner and the cutoff entering every later window match the scalar
-// loop's exactly (the golden fast-path test pins this).
-ScoredHandler score_sketch_batched(const dsl::ExprPtr& sketch,
-                                   const std::vector<trace::Segment>& segments,
-                                   const std::vector<std::vector<double>>& assignments,
-                                   const SynthesisOptions& opts,
-                                   const distance::DistanceOptions& dopts,
-                                   std::size_t* handlers_scored, EvalContext* ctx,
-                                   bool jrn, std::uint64_t sketch_hash,
-                                   std::size_t* evaluated_out) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  ScoredHandler best;
-  best.sketch = sketch;
-  EvalCache* cache = ctx ? ctx->cache : nullptr;
-  const bool abandon = opts.early_abandon;
-  double cutoff = (abandon && ctx) ? ctx->abandon_above : kInf;
-
-  // Compiled once per sketch; every lane of every window reuses it. The
-  // observed series are candidate-independent, so they are shared too.
-  std::optional<dsl::Program> prog;
-  std::vector<std::vector<double>> observed;
-
-  std::vector<BatchEntry> window;
-  window.reserve(2 * dsl::kBatchLanes);
-  std::size_t n_pending = 0;
-  std::size_t evaluated = 0;
-
-  auto flush = [&] {
-    if (!window.empty() && n_pending > 0) {
-      std::vector<const std::vector<double>*> lanes;
-      std::vector<std::size_t> lane_entry;
-      lanes.reserve(n_pending);
-      lane_entry.reserve(n_pending);
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        if (window[i].pending) {
-          lanes.push_back(window[i].assign);
-          lane_entry.push_back(i);
-        }
-      }
-      if (!prog) prog.emplace(dsl::compile(*sketch));
-      if (observed.empty() && !segments.empty()) {
-        observed.reserve(segments.size());
-        for (const auto& seg : segments) observed.push_back(observed_series_pkts(seg));
-      }
-      // All lanes replay under the window-entry cutoff c0: the scalar loop
-      // would have tightened it mid-window, but a looser bound only turns
-      // would-be +inf results exact (see the contract note above).
-      const double c0 = cutoff;
-      const bool bounded = std::isfinite(c0);
-      std::vector<std::vector<std::vector<double>>> synth(segments.size());
-      for (std::size_t s = 0; s < segments.size(); ++s) {
-        replay_batch(*prog, lanes, segments[s], {}, &synth[s]);
-      }
-      for (std::size_t k = 0; k < lanes.size(); ++k) {
-        BatchEntry& e = window[lane_entry[k]];
-        // Re-open the candidate's journal bracket so this lane's DTW detail
-        // events (and the cell tally) attribute to it, exactly as the
-        // scalar loop's single bracket would.
-        if (jrn) obs::journal_begin_candidate(sketch_hash, e.fp);
-        double sum = 0.0;
-        bool abandoned = false;
-        for (std::size_t s = 0; s < segments.size(); ++s) {
-          if (obs::journal_enabled()) obs::journal_set_segment(static_cast<std::uint32_t>(s));
-          sum += distance::compute(opts.metric, synth[s][k], observed[s], dopts,
-                                   bounded ? c0 - sum : distance::kNoAbandon);
-          if (bounded && sum >= c0) {
-            static auto& c_ab = obs::counter("synth.distance_abandons");
-            c_ab.add();
-            abandoned = true;
-            break;
-          }
-        }
-        const double d = abandoned ? kInf : sum;
-        if (cache && d < c0) {
-          cache->insert(ctx->fingerprint, e.canon_hash, std::move(e.canon), d);
-        }
-        if (jrn) {
-          obs::journal_record_candidate(std::isfinite(d) ? obs::JournalKind::kEvaluated
-                                                         : obs::JournalKind::kAbandoned,
-                                        d, obs::journal_take_cells());
-          obs::journal_end_candidate();
-        }
-        e.d = d;
-        e.pending = false;
-      }
-    }
-    // In-order walk: identical update rule (and therefore identical winner,
-    // tie-breaks included) to the scalar loop.
-    for (const auto& e : window) {
-      if (e.d < best.distance) {
-        best.distance = e.d;
-        best.handler = e.handler;
-        best.fingerprint = e.fp;
-        if (abandon) cutoff = std::min(cutoff, e.d);
-      }
-    }
-    window.clear();
-    n_pending = 0;
-  };
-
-  for (const auto& assign : assignments) {
-    if (ctx && ctx->cancel && ctx->cancel->cancelled()) {
-      // Settle the in-flight window first — its candidates are already in
-      // the journal funnel and must reach a terminal — then stop as soon as
-      // a valid best exists, like the scalar loop's poll point.
-      flush();
-      if (best.valid()) break;
-    }
-    ++evaluated;
-    std::uint64_t fp = 0;
-    if (jrn) {
-      fp = obs::journal_fingerprint(sketch_hash, assign);
-      obs::journal_begin_candidate(sketch_hash, fp);
-      obs::journal_record_candidate(obs::JournalKind::kEnumerated, cutoff, 0);
-    }
-    BatchEntry e;
-    e.assign = &assign;
-    e.handler = dsl::fill_holes(sketch, assign);
-    e.fp = fp;
-    bool cached = false;
-    if (cache) {
-      e.canon = dsl::canonicalize(e.handler);
-      e.canon_hash = dsl::hash_expr(*e.canon);
-      if (auto hit = cache->lookup(ctx->fingerprint, e.canon_hash, *e.canon)) {
-        e.d = *hit;
-        cached = true;
-      }
-      if (cached && ctx->cache_hit_tally) {
-        ctx->cache_hit_tally->fetch_add(1, std::memory_order_relaxed);
-      } else if (!cached && ctx->cache_miss_tally) {
-        ctx->cache_miss_tally->fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (jrn) obs::journal_end_candidate();
-    if (handlers_scored) ++*handlers_scored;
-    if (!cached) {
-      e.pending = true;
-      ++n_pending;
-    }
-    window.push_back(std::move(e));
-    if (n_pending >= dsl::kBatchLanes) flush();
-  }
-  flush();
-  *evaluated_out = evaluated;
-  return best;
-}
-
 }  // namespace
 
 util::Status SynthesisOptions::validate() const {
@@ -235,6 +81,15 @@ util::Status SynthesisOptions::validate() const {
   return util::Status::ok();
 }
 
+// Candidates are scored in lane batches. Selection is bit-identical
+// to a one-candidate-at-a-time loop for every result the refinement loop
+// consumes: pending candidates are evaluated against the cutoff as it stood
+// when their window opened (c0), which can only make their distance MORE
+// exact than a per-candidate loop's (+inf from a tighter mid-window bound),
+// and the contract already allows exact-or-+inf above the caller's bound.
+// Best/cutoff updates happen in an in-order walk at flush, so the winner and
+// the cutoff entering every later window are those of the sequential loop
+// (ScoreSketch.MatchesTreeWalkOracle and the golden fast-path test pin this).
 ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
                            const std::vector<trace::Segment>& segments,
                            const std::vector<double>& constant_pool,
@@ -247,7 +102,7 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
   // The effective abandon bound: candidates must beat both the caller's
   // bucket-best and this sketch's own running best to matter. Tightens as
   // better candidates land; never loosens. Inert (always +inf) when the
-  // option is off, so the off path does exactly the seed's work.
+  // option is off.
   const bool abandon = opts.early_abandon;
   double cutoff = (abandon && ctx) ? ctx->abandon_above : kInf;
   ConcretizeOptions copts;
@@ -259,18 +114,99 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
   const bool jrn = obs::journal_in_scope();
   const std::uint64_t sketch_hash = jrn ? dsl::hash_expr(*sketch) : 0;
   const distance::DistanceOptions dopts = effective_distance_options(opts);
+
+  // Compiled once per sketch; every lane of every window reuses it. The
+  // observed series are candidate-independent, so they are shared too.
+  std::optional<dsl::Program> prog;
+  std::vector<std::vector<double>> observed;
+
+  std::vector<BatchEntry> window;
+  window.reserve(2 * dsl::kBatchLanes);
+  std::size_t n_pending = 0;
   std::size_t evaluated = 0;
-  if (opts.batch_replay) {
-    best = score_sketch_batched(sketch, segments, assignments, opts, dopts, handlers_scored,
-                                ctx, jrn, sketch_hash, &evaluated);
-    static auto& c_scored = obs::counter("synth.handlers_scored");
-    c_scored.add(evaluated);
-    return best;
-  }
+
+  auto flush = [&] {
+    if (!window.empty() && n_pending > 0) {
+      std::vector<const std::vector<double>*> lanes;
+      std::vector<std::size_t> lane_entry;
+      lanes.reserve(n_pending);
+      lane_entry.reserve(n_pending);
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        if (window[i].pending) {
+          lanes.push_back(window[i].assign);
+          lane_entry.push_back(i);
+        }
+      }
+      if (!prog) prog.emplace(dsl::compile(*sketch));
+      if (observed.empty() && !segments.empty()) {
+        observed.reserve(segments.size());
+        for (const auto& seg : segments) observed.push_back(observed_series_pkts(seg));
+      }
+      // All lanes replay under the window-entry cutoff c0: a sequential loop
+      // would have tightened it mid-window, but a looser bound only turns
+      // would-be +inf results exact (see the contract note above).
+      const double c0 = cutoff;
+      const bool bounded = std::isfinite(c0);
+      std::vector<std::vector<std::vector<double>>> synth(segments.size());
+      for (std::size_t s = 0; s < segments.size(); ++s) {
+        replay_batch(*prog, lanes, segments[s], {}, &synth[s]);
+      }
+      for (std::size_t k = 0; k < lanes.size(); ++k) {
+        BatchEntry& e = window[lane_entry[k]];
+        // Re-open the candidate's journal bracket so this lane's DTW detail
+        // events (and the cell tally) attribute to it.
+        if (jrn) obs::journal_begin_candidate(sketch_hash, e.fp);
+        double sum = 0.0;
+        bool abandoned = false;
+        for (std::size_t s = 0; s < segments.size(); ++s) {
+          if (obs::journal_enabled()) obs::journal_set_segment(static_cast<std::uint32_t>(s));
+          sum += distance::compute(opts.metric, synth[s][k], observed[s], dopts,
+                                   bounded ? c0 - sum : distance::kNoAbandon);
+          if (bounded && sum >= c0) {
+            static auto& c_ab = obs::counter("synth.distance_abandons");
+            c_ab.add();
+            abandoned = true;
+            break;
+          }
+        }
+        const double d = abandoned ? kInf : sum;
+        // Only exact values may be shared: a result at or above the cutoff
+        // can be a truncated lower bound from an abandoned evaluation.
+        if (cache && d < c0) {
+          cache->insert(ctx->fingerprint, e.canon_hash, std::move(e.canon), d);
+        }
+        if (jrn) {
+          obs::journal_record_candidate(std::isfinite(d) ? obs::JournalKind::kEvaluated
+                                                         : obs::JournalKind::kAbandoned,
+                                        d, obs::journal_take_cells());
+          obs::journal_end_candidate();
+        }
+        e.d = d;
+        e.pending = false;
+      }
+    }
+    // In-order walk: the first minimum wins, tie-breaks included, exactly as
+    // in a sequential loop over the assignments.
+    for (const auto& e : window) {
+      if (e.d < best.distance) {
+        best.distance = e.d;
+        best.handler = e.handler;
+        best.fingerprint = e.fp;
+        if (abandon) cutoff = std::min(cutoff, e.d);
+      }
+    }
+    window.clear();
+    n_pending = 0;
+  };
+
   for (const auto& assign : assignments) {
-    // Cancellation poll point: once a valid best exists, a fired token stops
-    // this sketch immediately and the caller keeps the best-so-far.
-    if (ctx && ctx->cancel && ctx->cancel->cancelled() && best.valid()) break;
+    if (ctx && ctx->cancel && ctx->cancel->cancelled()) {
+      // Settle the in-flight window first — its candidates are already in
+      // the journal funnel and must reach a terminal — then stop as soon as
+      // a valid best exists; the caller keeps the best-so-far.
+      flush();
+      if (best.valid()) break;
+    }
     ++evaluated;
     std::uint64_t fp = 0;
     if (jrn) {
@@ -280,17 +216,17 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
       obs::journal_begin_candidate(sketch_hash, fp);
       obs::journal_record_candidate(obs::JournalKind::kEnumerated, cutoff, 0);
     }
-    const auto handler = dsl::fill_holes(sketch, assign);
-    double d;
-    dsl::ExprPtr canon;
-    std::size_t canon_hash = 0;
+    BatchEntry e;
+    e.assign = &assign;
+    e.handler = dsl::fill_holes(sketch, assign);
+    e.fp = fp;
     bool cached = false;
     if (cache) {
-      canon = dsl::canonicalize(handler);
-      canon_hash = dsl::hash_expr(*canon);
+      e.canon = dsl::canonicalize(e.handler);
+      e.canon_hash = dsl::hash_expr(*e.canon);
       // A hit records the candidate's kCacheHit terminal inside lookup().
-      if (auto hit = cache->lookup(ctx->fingerprint, canon_hash, *canon)) {
-        d = *hit;
+      if (auto hit = cache->lookup(ctx->fingerprint, e.canon_hash, *e.canon)) {
+        e.d = *hit;
         cached = true;
       }
       // Per-run attribution (SynthesisResult::cache_hits): the cache's own
@@ -302,31 +238,17 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
         ctx->cache_miss_tally->fetch_add(1, std::memory_order_relaxed);
       }
     }
-    if (!cached) {
-      d = total_distance(*handler, segments, opts.metric, dopts, {}, cutoff);
-      // Only exact values may be shared: a result at or above the cutoff can
-      // be a truncated lower bound from an abandoned evaluation.
-      if (cache && d < cutoff) {
-        cache->insert(ctx->fingerprint, canon_hash, std::move(canon), d);
-      }
-      if (jrn) {
-        // Terminal: exact distance, or abandoned against the bucket bound
-        // (an abandoned evaluation surfaces as +inf).
-        obs::journal_record_candidate(std::isfinite(d) ? obs::JournalKind::kEvaluated
-                                                       : obs::JournalKind::kAbandoned,
-                                      d, obs::journal_take_cells());
-      }
-    }
     if (jrn) obs::journal_end_candidate();
     if (handlers_scored) ++*handlers_scored;
-    if (d < best.distance) {
-      best.distance = d;
-      best.handler = handler;
-      best.fingerprint = fp;
-      if (abandon) cutoff = std::min(cutoff, d);
+    if (!cached) {
+      e.pending = true;
+      ++n_pending;
     }
+    window.push_back(std::move(e));
+    if (n_pending >= dsl::kBatchLanes) flush();
   }
-  // Same site as the hand count above, so the registry and the per-bucket
+  flush();
+  // Same count as handlers_scored above, so the registry and the per-bucket
   // fields cannot drift (test_obs asserts they agree).
   static auto& c_scored = obs::counter("synth.handlers_scored");
   c_scored.add(evaluated);

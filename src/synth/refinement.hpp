@@ -89,14 +89,13 @@ struct SynthesisOptions {
   // "synth.distance_abandons").
   bool early_abandon = true;
 
-  // --- Data-parallel evaluation (ISSUE 7). Like the fast-path knobs above,
-  // both change only how much work is done per result, never the result the
-  // refinement loop consumes (same golden test).
-  // Compile each sketch to bytecode once and replay one segment across up to
-  // dsl::kBatchLanes hole-assignments in lockstep instead of tree-walking
-  // every concretization separately. A manifest's "fast_path": false turns
-  // this off together with the cache/abandon knobs.
-  bool batch_replay = true;
+  // --- Data-parallel evaluation. score_sketch always compiles
+  // each sketch to bytecode once and replays one segment across up to
+  // dsl::kBatchLanes hole-assignments in lockstep; the tree-walk replay()
+  // remains the oracle it is tested against. Like the fast-path knobs
+  // above, the kernel tier changes only how the work is done, never the
+  // result the refinement loop consumes (same golden test).
+  //
   // DTW kernel tier for every distance this run computes. kAuto defers to
   // ABG_SIMD and then to CPU detection (see distance::resolve_simd); an
   // explicit tier here wins over the environment. Overrides dopts.simd when

@@ -6,11 +6,15 @@
 // configuration files — not a streaming parser for bulk data.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/result.hpp"
@@ -61,6 +65,24 @@ class JsonValue {
   std::vector<JsonValue> arr_;
   std::vector<std::pair<std::string, JsonValue>> obj_;
 };
+
+// Checked integer read of a JSON number from outside the program: true and
+// *out set only for a whole number within T's range. JSON numbers are
+// doubles, so the range is also capped at +-2^53, where every integer is
+// exact; a fraction, a non-finite value or anything wider is rejected
+// instead of cast (as_int's cast is undefined behaviour out of range).
+template <typename T>
+bool json_integer(const JsonValue& v, T* out) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  const double lo = std::max(-kExact, static_cast<double>(std::numeric_limits<T>::min()));
+  const double hi = std::min(kExact, static_cast<double>(std::numeric_limits<T>::max()));
+  if (!v.is_number()) return false;
+  const double d = v.as_double();
+  if (!(d >= lo && d <= hi) || d != std::trunc(d)) return false;  // NaN fails the range test
+  *out = static_cast<T>(d);
+  return true;
+}
 
 // Parse a complete JSON document. Exactly one top-level value; anything but
 // trailing whitespace after it is an error. Errors carry "line N:" context.

@@ -261,6 +261,33 @@ TEST(Manifest, RejectsStructuralMistakes) {
   // Type mismatches.
   EXPECT_EQ(api::parse_manifest(R"({"jobs": [{"traces": "a.csv"}]})").status().code(),
             util::StatusCode::kInvalidArgument);
+  // Numbers outside the field's integer range are rejected, not cast: a
+  // 32-bit wrap (4294967297 -> 1), a fraction (6.9 -> 6), a negative seed
+  // (-1 -> 2^64-1), and values whose cast is undefined behaviour (1e300).
+  // Numeric seeds stop at 2^53, where doubles stop being exact integers.
+  for (const char* field :
+       {R"("max_iterations": 4294967297)", R"("initial_samples": 6.9)", R"("seed": -1)",
+        R"("seed": 1e300)", R"("seed": 1e17)", R"("max_depth": -1e300)",
+        R"("concretize_budget": 1e300)", R"("exhaustive_cap": -1)",
+        R"("final_validation_segments": 2.5)"}) {
+    const std::string manifest =
+        std::string(R"({"jobs": [{"traces": ["a.csv"], )") + field + "}]}";
+    EXPECT_EQ(api::parse_manifest(manifest).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << field;
+  }
+  EXPECT_EQ(api::parse_manifest(R"({"threads": 1.5, "jobs": [{"traces": ["a.csv"]}]})")
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
+  // In range stays accepted: whole numbers, 2^53 itself, and decimal-string
+  // seeds over the full u64 range.
+  for (const char* field : {R"("max_iterations": 4)", R"("seed": 9007199254740992)",
+                            R"("seed": "18446744073709551615")", R"("initial_samples": 6.0)"}) {
+    const std::string manifest =
+        std::string(R"({"jobs": [{"traces": ["a.csv"], )") + field + "}]}";
+    EXPECT_TRUE(api::parse_manifest(manifest).ok()) << field;
+  }
   // Empty sweeps and syntax errors.
   EXPECT_EQ(api::parse_manifest(R"({"jobs": []})").status().code(),
             util::StatusCode::kInvalidArgument);

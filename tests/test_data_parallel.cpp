@@ -20,8 +20,11 @@
 #include "dsl/expr.hpp"
 #include "obs/registry.hpp"
 #include "synth/batch_eval.hpp"
+#include "synth/concretize.hpp"
+#include "synth/eval_cache.hpp"
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
+#include "synth/shard.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -335,9 +338,108 @@ TEST(BatchReplay, MatchesScalarReplayBitwise) {
   }
 }
 
-// End-to-end invariance at the score_sketch level: the batched bytecode
-// path and the scalar tree-walk path (and every available DTW kernel under
-// each) must select the same winner with the bitwise-identical distance.
+// The tree-walk oracle for score_sketch: the same enumerate_assignments
+// draw, each handler scored by an unbounded total_distance (tree-walk
+// replay, no cache, no batching), the first minimum winning ties.
+struct Oracle {
+  ScoredHandler best;
+  std::size_t handlers = 0;
+};
+
+Oracle tree_walk_oracle(const dsl::ExprPtr& sketch, const std::vector<trace::Segment>& segments,
+                        const std::vector<double>& pool, const SynthesisOptions& opts,
+                        std::uint64_t rng_seed) {
+  util::Rng rng(rng_seed);
+  ConcretizeOptions copts;
+  copts.budget = opts.concretize_budget;
+  const auto assignments = enumerate_assignments(*sketch, pool, copts, rng);
+  const auto dopts = effective_distance_options(opts);
+  Oracle o;
+  o.best.sketch = sketch;
+  o.handlers = assignments.size();
+  for (const auto& assign : assignments) {
+    auto handler = dsl::fill_holes(sketch, assign);
+    const double d = total_distance(*handler, segments, opts.metric, dopts);
+    if (d < o.best.distance) {
+      o.best.distance = d;
+      o.best.handler = std::move(handler);
+    }
+  }
+  return o;
+}
+
+// score_sketch (batched bytecode replay, optional memo cache, optional
+// abandon bound) against the oracle: same handler, bit-identical distance,
+// same handler count, in every combination. The first sketch has exact ties
+// (0.5 * (2 * x) == 2 * (0.5 * x)), so the first-minimum rule is exercised.
+TEST(ScoreSketch, MatchesTreeWalkOracle) {
+  util::Rng seg_rng(131);
+  std::vector<trace::Segment> segments;
+  for (int i = 0; i < 3; ++i) segments.push_back(make_segment(seg_rng, 40));
+  const std::vector<double> pool{0.25, 0.5, 1.0, 2.0};
+  const auto reno_inc = dsl::sig(dsl::Signal::kRenoInc);
+  const auto cwnd = dsl::sig(dsl::Signal::kCwnd);
+  std::vector<dsl::ExprPtr> sketches{
+      dsl::add(cwnd, dsl::mul(dsl::hole(0), dsl::mul(dsl::hole(1), reno_inc))),
+      dsl::add(cwnd, dsl::mul(dsl::hole(0), dsl::add(reno_inc, dsl::hole(1)))),
+      dsl::sub(dsl::mul(cwnd, dsl::hole(0)), dsl::hole(1)),
+  };
+  util::Rng sketch_rng(137);
+  for (int i = 0; i < 3; ++i) sketches.push_back(dsl::random_num(sketch_rng, 4, /*holes=*/true));
+
+  for (std::size_t si = 0; si < sketches.size(); ++si) {
+    const auto& sketch = sketches[si];
+    SynthesisOptions opts;
+    opts.concretize_budget = 20;
+    const std::uint64_t seed = 61 + si;
+    const Oracle want = tree_walk_oracle(sketch, segments, pool, opts, seed);
+    if (!want.best.valid()) continue;  // every handler non-finite: nothing to pin
+    const std::string want_text = dsl::to_string(*want.best.handler);
+    for (const bool use_cache : {false, true}) {
+      for (const bool abandon : {false, true}) {
+        SCOPED_TRACE(dsl::to_string(*sketch) + " cache=" + std::to_string(use_cache) +
+                     " abandon=" + std::to_string(abandon));
+        opts.early_abandon = abandon;
+        EvalCache cache;
+        EvalContext ctx;
+        if (use_cache) {
+          ctx.cache = &cache;
+          ctx.fingerprint = 42;
+        }
+        // A finite bound the winner beats: the winner must stay exact.
+        if (abandon) ctx.abandon_above = want.best.distance * 2 + 1;
+        // Twice: the second pass answers from the cache when there is one.
+        for (int pass = 0; pass < 2; ++pass) {
+          util::Rng rng(seed);
+          std::size_t scored = 0;
+          const auto got = score_sketch(sketch, segments, pool, opts, rng, &scored, &ctx);
+          ASSERT_TRUE(got.valid()) << "pass " << pass;
+          EXPECT_EQ(dsl::to_string(*got.handler), want_text) << "pass " << pass;
+          EXPECT_TRUE(dsl::same_double(got.distance, want.best.distance)) << "pass " << pass;
+          EXPECT_EQ(scored, want.handlers) << "pass " << pass;
+        }
+        if (abandon) {
+          // A bound the winner cannot beat: every result is exact or +inf.
+          // Evaluated candidates all abandon; only a cache hit can still
+          // return its exact distance, which must then be the oracle's.
+          EvalContext tight = ctx;
+          tight.abandon_above = want.best.distance;
+          util::Rng rng(seed);
+          const auto capped = score_sketch(sketch, segments, pool, opts, rng, nullptr, &tight);
+          if (use_cache && capped.valid()) {
+            EXPECT_TRUE(dsl::same_double(capped.distance, want.best.distance));
+          } else {
+            EXPECT_FALSE(capped.valid());
+          }
+        }
+      }
+    }
+  }
+}
+
+// Kernel invariance at the score_sketch level: under every available DTW
+// kernel, score_sketch selects the oracle's winner (computed with the
+// scalar kernel) with the bitwise-identical distance.
 TEST(BatchSearch, WinnerIdenticalAcrossBatchingAndKernels) {
   util::Rng seg_rng(109);
   std::vector<trace::Segment> segments;
@@ -348,41 +450,28 @@ TEST(BatchSearch, WinnerIdenticalAcrossBatchingAndKernels) {
                dsl::mul(dsl::hole(0), dsl::add(dsl::sig(dsl::Signal::kRenoInc),
                                                dsl::hole(1))));
 
-  struct Config {
-    bool batch;
-    distance::Simd simd;
-  };
-  std::vector<Config> configs{{false, distance::Simd::kScalar}, {true, distance::Simd::kScalar}};
-  if (distance::simd_available(distance::Simd::kSse2)) {
-    configs.push_back({true, distance::Simd::kSse2});
-  }
-  if (distance::simd_available(distance::Simd::kAvx2)) {
-    configs.push_back({true, distance::Simd::kAvx2});
-  }
+  SynthesisOptions scalar_opts;
+  scalar_opts.simd = distance::Simd::kScalar;
+  scalar_opts.concretize_budget = 24;
+  const Oracle want = tree_walk_oracle(sketch, segments, pool, scalar_opts, 55);
+  ASSERT_TRUE(want.best.valid());
 
-  std::string want_text;
-  double want_distance = 0.0;
-  std::size_t want_scored = 0;
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    SynthesisOptions opts;
-    opts.batch_replay = configs[c].batch;
-    opts.simd = configs[c].simd;
-    opts.concretize_budget = 24;
-    util::Rng rng(55);  // identical sampling per config
+  std::vector<distance::Simd> kernels{distance::Simd::kScalar};
+  for (auto k : {distance::Simd::kSse2, distance::Simd::kAvx2}) {
+    if (distance::simd_available(k)) kernels.push_back(k);
+  }
+  for (const auto kernel : kernels) {
+    SynthesisOptions opts = scalar_opts;
+    opts.simd = kernel;
+    util::Rng rng(55);  // identical sampling per kernel
     std::size_t scored = 0;
     EvalContext ctx;  // no cache, no bound: every distance exact
     const auto best = score_sketch(sketch, segments, pool, opts, rng, &scored, &ctx);
     ASSERT_TRUE(best.valid());
-    const std::string text = dsl::to_string(*best.handler);
-    if (c == 0) {
-      want_text = text;
-      want_distance = best.distance;
-      want_scored = scored;
-    } else {
-      EXPECT_EQ(text, want_text) << "config " << c;
-      EXPECT_EQ(best.distance, want_distance) << "config " << c;  // bitwise
-      EXPECT_EQ(scored, want_scored) << "config " << c;
-    }
+    EXPECT_EQ(dsl::to_string(*best.handler), dsl::to_string(*want.best.handler))
+        << distance::simd_name(kernel);
+    EXPECT_EQ(best.distance, want.best.distance) << distance::simd_name(kernel);  // bitwise
+    EXPECT_EQ(scored, want.handlers) << distance::simd_name(kernel);
   }
 }
 
@@ -397,30 +486,26 @@ TEST(BatchSearch, WinnerSurvivesCacheAndAbandonBound) {
   const auto sketch = dsl::add(dsl::sig(dsl::Signal::kCwnd),
                                dsl::mul(dsl::hole(0), dsl::sig(dsl::Signal::kRenoInc)));
 
-  auto run_once = [&](bool batch) {
-    SynthesisOptions opts;
-    opts.batch_replay = batch;
-    opts.concretize_budget = 16;
-    util::Rng rng(77);
-    EvalCache cache;
-    EvalContext ctx;
-    ctx.cache = &cache;
-    ctx.fingerprint = 42;
-    std::size_t scored = 0;
-    ScoredHandler best = score_sketch(sketch, segments, pool, opts, rng, &scored, &ctx);
-    // Second pass over the same sketch must answer from the cache and keep
-    // the same winner (this is how iteration re-scoring consumes it).
-    util::Rng rng2(77);
-    ScoredHandler again = score_sketch(sketch, segments, pool, opts, rng2, &scored, &ctx);
-    EXPECT_EQ(again.distance, best.distance);
-    return best;
-  };
-  const auto scalar = run_once(false);
-  const auto batched = run_once(true);
-  ASSERT_TRUE(scalar.valid());
-  ASSERT_TRUE(batched.valid());
-  EXPECT_EQ(dsl::to_string(*batched.handler), dsl::to_string(*scalar.handler));
-  EXPECT_EQ(batched.distance, scalar.distance);  // bitwise
+  SynthesisOptions opts;
+  opts.concretize_budget = 16;
+  const Oracle want = tree_walk_oracle(sketch, segments, pool, opts, 77);
+  ASSERT_TRUE(want.best.valid());
+
+  util::Rng rng(77);
+  EvalCache cache;
+  EvalContext ctx;
+  ctx.cache = &cache;
+  ctx.fingerprint = 42;
+  std::size_t scored = 0;
+  ScoredHandler best = score_sketch(sketch, segments, pool, opts, rng, &scored, &ctx);
+  // Second pass over the same sketch must answer from the cache and keep
+  // the same winner (this is how iteration re-scoring consumes it).
+  util::Rng rng2(77);
+  ScoredHandler again = score_sketch(sketch, segments, pool, opts, rng2, &scored, &ctx);
+  EXPECT_EQ(again.distance, best.distance);
+  ASSERT_TRUE(best.valid());
+  EXPECT_EQ(dsl::to_string(*best.handler), dsl::to_string(*want.best.handler));
+  EXPECT_EQ(best.distance, want.best.distance);  // bitwise
 }
 
 }  // namespace

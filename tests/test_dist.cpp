@@ -392,6 +392,40 @@ TEST(Dist, MalformedProtocolMessagesAnswerParseErrorEnvelopes) {
   EXPECT_EQ(r.compare(0, 3, "400"), 0) << r;
   EXPECT_NE(r.find("pass_id"), std::string::npos) << r;
 
+  // Integers the worker would otherwise cast unchecked: a fraction, a value
+  // past 2^53 (1e300 was undefined behaviour), anywhere a count, epoch or
+  // segment index is read. Each is a parse error before any shard state is
+  // consulted, so none of them may reach the 409 "no shard loaded" answer.
+  const std::string good_state =
+      "{\"label\":\"{}\",\"sketches\":0,\"handlers_scored\":0,\"exhausted\":false,"
+      "\"rng\":[\"1\",\"2\",\"3\",\"4\",\"0\",\"0x0p+0\"],\"best_distance\":\"inf\","
+      "\"best_sketch\":\"\",\"best_handler\":\"\"}";
+  auto with_sketches = [&](const std::string& v) {
+    std::string st = good_state;
+    st.replace(st.find("\"sketches\":0"), 12, "\"sketches\":" + v);
+    return st;
+  };
+  const std::vector<std::pair<std::string, std::string>> bad_numbers{
+      {"/shard/restore", "{\"epoch\":1.5,\"states\":[]}"},
+      {"/shard/restore", "{\"epoch\":1e300,\"states\":[]}"},
+      {"/shard/restore", "{\"epoch\":1,\"states\":[" + with_sketches("2.5") + "]}"},
+      {"/shard/restore", "{\"epoch\":1,\"states\":[" + with_sketches("1e300") + "]}"},
+      {"/shard/restore", "{\"epoch\":1,\"states\":[" + with_sketches("-1") + "]}"},
+      {"/shard/iterate",
+       "{\"epoch\":1,\"pass_id\":1,\"target\":4,\"buckets\":[\"{}\"],\"working\":[0.5]}"},
+      {"/shard/iterate",
+       "{\"epoch\":1,\"pass_id\":1,\"target\":1e300,\"buckets\":[\"{}\"]}"},
+  };
+  for (const auto& [route, body] : bad_numbers) {
+    r = post(fleet, route, body);
+    EXPECT_EQ(r.compare(0, 3, "400"), 0) << route << " " << body << "\n" << r;
+    EXPECT_NE(r.find("parse-error"), std::string::npos) << r;
+  }
+  // The same state with whole-number fields decodes (and only then meets the
+  // missing shard), so the cases above fail on their numbers alone.
+  r = post(fleet, "/shard/restore", "{\"epoch\":1,\"states\":[" + good_state + "]}");
+  EXPECT_EQ(r.compare(0, 3, "409"), 0) << r;
+
   // Out-of-order: iterate before any shard is loaded.
   r = post(fleet, "/shard/iterate",
            "{\"epoch\":1,\"pass_id\":1,\"target\":4,\"buckets\":[\"{}\"]}");
@@ -529,7 +563,6 @@ TEST(DistCodec, RandomSpecsRoundTripExactly) {
     const bool fast = (gen() & 1) != 0;
     synth.use_eval_cache = fast;
     synth.early_abandon = fast;
-    synth.batch_replay = fast;
     if (gen() & 1) {
       synth.checkpoint_path = "ck-" + std::to_string(trial) + ".bin";
       synth.resume = (gen() & 1) != 0;

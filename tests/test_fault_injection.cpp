@@ -9,21 +9,29 @@
 // with ABG_FAULT_INJECT set without perturbing the deterministic suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dsl/known_handlers.hpp"
 #include "net/simulator.hpp"
+#include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "synth/checkpoint.hpp"
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
 #include "trace/trace_io.hpp"
 #include "util/cancellation.hpp"
+#include "util/csv.hpp"
 #include "util/fault_injection.hpp"
+#include "util/json_parse.hpp"
 #include "util/status.hpp"
 
 namespace abg::synth {
@@ -65,6 +73,49 @@ SynthesisOptions quick_opts() {
   o.threads = 2;
   o.seed = 5;
   return o;
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+// Re-serialize a parsed document, so a test can edit a checkpoint through
+// the JSON model instead of by byte offsets.
+void emit_json(obs::JsonWriter& w, const util::JsonValue& v) {
+  switch (v.type()) {
+    case util::JsonValue::Type::kNull: w.raw("null"); break;
+    case util::JsonValue::Type::kBool: w.value(v.as_bool()); break;
+    case util::JsonValue::Type::kNumber: w.value(v.as_double()); break;
+    case util::JsonValue::Type::kString: w.value(v.as_string()); break;
+    case util::JsonValue::Type::kArray:
+      w.begin_array();
+      for (const auto& item : v.items()) emit_json(w, item);
+      w.end_array();
+      break;
+    case util::JsonValue::Type::kObject:
+      w.begin_object();
+      for (const auto& [key, member] : v.members()) {
+        w.key(key);
+        emit_json(w, member);
+      }
+      w.end_object();
+      break;
+  }
+}
+
+// The checkpoint a real run leaves after its first iteration (a cancel is
+// injected there), as written to `path`.
+std::string interrupted_run_checkpoint(const std::string& path) {
+  std::remove(path.c_str());
+  util::fault::Config cfg;
+  cfg.cancel_after_iterations = 1;
+  FaultGuard guard(cfg);
+  SynthesisOptions opts = quick_opts();
+  opts.checkpoint_path = path;
+  (void)synthesize(dsl::reno_dsl(), reno_segments(), opts);
+  std::string text;
+  EXPECT_TRUE(util::read_file(path, &text)) << "no checkpoint at " << path;
+  return text;
 }
 
 trace::Trace small_trace() {
@@ -175,86 +226,159 @@ TEST(Cancellation, DeadlinePreemptsWithinBudget) {
   EXPECT_LT(elapsed, opts.timeout_s * 1.2 + 0.75);
 }
 
+// Every field through save/load with bitwise equality, including the values
+// a decimal or fixed-width encoding would get wrong: signed zeros,
+// subnormals, infinities, DBL_MAX, RNG words near 2^64, and text that needs
+// escaping.
 TEST(Checkpoint, SaveLoadRoundTrip) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kSub = std::numeric_limits<double>::denorm_min();
+  const std::string kText = std::string("say \"hi\"\\ tab\there\nnew line \xc3\xa9\xff");
   Checkpoint ck;
-  ck.pool_fingerprint = 0xdeadbeefcafef00dull;
-  ck.seed = 42;
-  ck.next_iter = 3;
-  ck.n = 384;
-  ck.k = 1;
-  ck.best = {1.25e-3, "cwnd + c0 * reno-inc", "cwnd + 0.5 * reno-inc"};
-  ck.sampler_rng = {{1, 2, 3, 4}, true, -0.75};
-  ck.sampler_selected = {4, 0, 7};
-  ck.live = {2};
+  ck.pool_fingerprint = ~0ull;
+  ck.seed = ~0ull - 1;
+  ck.next_iter = 2147483647;
+  ck.n = -7;
+  ck.k = 0;
+  ck.best = {-0.0, kText, "cwnd + " + kText};
+  ck.sampler_rng = {{~0ull, ~0ull - 1, (1ull << 53) + 1, 0}, true, -kSub};
+  ck.sampler_selected = {0, 9007199254740992ull};
+  ck.live = {};
   BucketCheckpoint b;
-  b.label = "{+,*}";
-  b.sketches = 17;
-  b.handlers_scored = 204;
+  b.label = "{+,*," + kText + "}";
+  b.sketches = 9007199254740992ull;
+  b.handlers_scored = 1;
   b.exhausted = true;
-  b.rng = {{9, 8, 7, 6}, false, 0.0};
-  b.best_distance = 0.5;
-  b.best_sketch = "cwnd + c0";
-  b.best_handler = "cwnd + 1";
-  ck.buckets.push_back(b);
-  ck.candidates.push_back({2.0, "cwnd * c0", "cwnd * 2"});
+  b.rng = {{1ull << 63, ~0ull, 12345, ~0ull - 2}, false, std::numeric_limits<double>::max()};
+  b.best_distance = kInf;
+  b.best_sketch = "";
+  b.best_handler = kText;
+  BucketCheckpoint fresh;  // a bucket's defaults: no best yet, +inf distance
+  fresh.label = "{}";
+  ck.buckets = {b, fresh};
+  ck.candidates = {{2.0, "cwnd * c0", "cwnd * 2"}, {kSub, "s", "h"}, {-kInf, "", kText},
+                   {0.0, "\t", "\n"}};
   IterationReport rep;
-  rep.n_target = 48;
-  rep.keep = 2;
-  rep.segments_used = 4;
+  rep.n_target = -2147483647 - 1;
+  rep.keep = 5;
+  rep.segments_used = 3;
   rep.seconds = 0.125;
+  rep.best_distance = -std::numeric_limits<double>::max();
+  rep.cache_hits = ~0ull;
+  rep.cache_misses = (1ull << 53) + 1;
   BucketReport br;
-  br.label = "{+,*}";
-  br.score = 0.5;
+  br.label = kText;
+  br.score = -0.0;
   br.sketches_enumerated = 17;
-  br.handlers_scored = 204;
-  br.exhausted = true;
+  br.handlers_scored = 0;
+  br.exhausted = false;
   br.retained = true;
-  rep.buckets.push_back(br);
-  ck.iterations.push_back(rep);
+  rep.buckets = {br, BucketReport{}};
+  IterationReport subnormal;
+  subnormal.seconds = kSub;
+  ck.iterations = {rep, subnormal};
 
-  const std::string path = testing::TempDir() + "/abg_chaos_ckpt.txt";
+  const std::string path = testing::TempDir() + "/abg_chaos_ckpt.json";
   ASSERT_TRUE(save_checkpoint(ck, path).is_ok());
-  auto loaded = load_checkpoint(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->pool_fingerprint, ck.pool_fingerprint);
-  EXPECT_EQ(loaded->seed, 42u);
-  EXPECT_EQ(loaded->next_iter, 3);
-  EXPECT_EQ(loaded->n, 384);
-  EXPECT_EQ(loaded->k, 1);
-  EXPECT_EQ(loaded->best.distance, 1.25e-3);  // bit-exact via hex floats
-  EXPECT_EQ(loaded->best.handler, "cwnd + 0.5 * reno-inc");
-  EXPECT_EQ(loaded->sampler_rng.s[3], 4u);
-  EXPECT_TRUE(loaded->sampler_rng.have_cached_normal);
-  EXPECT_EQ(loaded->sampler_rng.cached_normal, -0.75);
-  EXPECT_EQ(loaded->sampler_selected, (std::vector<std::size_t>{4, 0, 7}));
-  EXPECT_EQ(loaded->live, (std::vector<std::size_t>{2}));
-  ASSERT_EQ(loaded->buckets.size(), 1u);
-  EXPECT_EQ(loaded->buckets[0].label, "{+,*}");
-  EXPECT_EQ(loaded->buckets[0].sketches, 17u);
-  EXPECT_TRUE(loaded->buckets[0].exhausted);
-  EXPECT_EQ(loaded->buckets[0].rng.s[0], 9u);
-  ASSERT_EQ(loaded->candidates.size(), 1u);
-  EXPECT_EQ(loaded->candidates[0].handler, "cwnd * 2");
-  ASSERT_EQ(loaded->iterations.size(), 1u);
-  EXPECT_EQ(loaded->iterations[0].n_target, 48);
-  EXPECT_EQ(loaded->iterations[0].seconds, 0.125);
-  ASSERT_EQ(loaded->iterations[0].buckets.size(), 1u);
-  EXPECT_TRUE(loaded->iterations[0].buckets[0].retained);
+  auto got = load_checkpoint(path);
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+
+  auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  auto same_rng = [&](const util::Rng::State& a, const util::Rng::State& b) {
+    return std::equal(std::begin(a.s), std::end(a.s), std::begin(b.s)) &&
+           a.have_cached_normal == b.have_cached_normal && same(a.cached_normal, b.cached_normal);
+  };
+  auto same_scored = [&](const ScoredHandlerCheckpoint& a, const ScoredHandlerCheckpoint& b) {
+    return same(a.distance, b.distance) && a.sketch == b.sketch && a.handler == b.handler;
+  };
+  EXPECT_EQ(got->pool_fingerprint, ck.pool_fingerprint);
+  EXPECT_EQ(got->seed, ck.seed);
+  EXPECT_EQ(got->next_iter, ck.next_iter);
+  EXPECT_EQ(got->n, ck.n);
+  EXPECT_EQ(got->k, ck.k);
+  EXPECT_TRUE(same_scored(got->best, ck.best));
+  EXPECT_TRUE(same_rng(got->sampler_rng, ck.sampler_rng));
+  EXPECT_EQ(got->sampler_selected, ck.sampler_selected);
+  EXPECT_EQ(got->live, ck.live);
+  ASSERT_EQ(got->buckets.size(), ck.buckets.size());
+  for (std::size_t i = 0; i < ck.buckets.size(); ++i) {
+    const auto& x = got->buckets[i];
+    const auto& y = ck.buckets[i];
+    EXPECT_EQ(x.label, y.label) << i;
+    EXPECT_EQ(x.sketches, y.sketches) << i;
+    EXPECT_EQ(x.handlers_scored, y.handlers_scored) << i;
+    EXPECT_EQ(x.exhausted, y.exhausted) << i;
+    EXPECT_TRUE(same_rng(x.rng, y.rng)) << i;
+    EXPECT_TRUE(same(x.best_distance, y.best_distance)) << i;
+    EXPECT_EQ(x.best_sketch, y.best_sketch) << i;
+    EXPECT_EQ(x.best_handler, y.best_handler) << i;
+  }
+  ASSERT_EQ(got->candidates.size(), ck.candidates.size());
+  for (std::size_t i = 0; i < ck.candidates.size(); ++i) {
+    EXPECT_TRUE(same_scored(got->candidates[i], ck.candidates[i])) << i;
+  }
+  ASSERT_EQ(got->iterations.size(), ck.iterations.size());
+  for (std::size_t i = 0; i < ck.iterations.size(); ++i) {
+    const auto& x = got->iterations[i];
+    const auto& y = ck.iterations[i];
+    EXPECT_EQ(x.n_target, y.n_target) << i;
+    EXPECT_EQ(x.keep, y.keep) << i;
+    EXPECT_EQ(x.segments_used, y.segments_used) << i;
+    EXPECT_TRUE(same(x.seconds, y.seconds)) << i;
+    EXPECT_TRUE(same(x.best_distance, y.best_distance)) << i;
+    EXPECT_EQ(x.cache_hits, y.cache_hits) << i;
+    EXPECT_EQ(x.cache_misses, y.cache_misses) << i;
+    ASSERT_EQ(x.buckets.size(), y.buckets.size()) << i;
+    for (std::size_t j = 0; j < y.buckets.size(); ++j) {
+      EXPECT_EQ(x.buckets[j].label, y.buckets[j].label);
+      EXPECT_TRUE(same(x.buckets[j].score, y.buckets[j].score));
+      EXPECT_EQ(x.buckets[j].sketches_enumerated, y.buckets[j].sketches_enumerated);
+      EXPECT_EQ(x.buckets[j].handlers_scored, y.buckets[j].handlers_scored);
+      EXPECT_EQ(x.buckets[j].exhausted, y.buckets[j].exhausted);
+      EXPECT_EQ(x.buckets[j].retained, y.buckets[j].retained);
+    }
+  }
 }
 
 TEST(Checkpoint, MissingFileIsIoErrorAndGarbageIsParseError) {
-  auto missing = load_checkpoint(testing::TempDir() + "/abg_no_such_ckpt.txt");
+  auto missing = load_checkpoint(testing::TempDir() + "/abg_no_such_ckpt.json");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
 
-  const std::string path = testing::TempDir() + "/abg_bad_ckpt.txt";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("abagnale-checkpoint v1\npool_fp not-a-number\n", f);
-  std::fclose(f);
+  // Well-formed JSON with the right format tag, but a garbage field.
+  const std::string path = testing::TempDir() + "/abg_bad_ckpt.json";
+  write_text(path, R"({"format": "abagnale-checkpoint v2", "pool_fingerprint": "not-a-number"})");
   auto bad = load_checkpoint(path);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
+
+  // The retired tab-separated format is refused by name; no v1 reader is kept.
+  write_text(path,
+             "abagnale-checkpoint v1\npool_fp\t1\nseed\t5\nnext_iter\t1\nn\t6\nk\t3\n"
+             "best\tinf\t\t\nsampler_rng\t1\t2\t3\t4\t0\t0x0p+0\nsampler_selected\n"
+             "live\nbuckets\t0\ncandidates\t0\niterations\t0\n");
+  auto v1 = load_checkpoint(path);
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.status().code(), StatusCode::kParseError);
+  EXPECT_NE(v1.status().message().find("abagnale-checkpoint v1"), std::string::npos)
+      << v1.status().to_string();
+}
+
+// A torn or truncated file is a classified error, never a crash: every
+// 97th-byte prefix of a real checkpoint (the empty one included) is
+// kParseError.
+TEST(Checkpoint, EveryTruncatedPrefixIsParseError) {
+  const std::string path = testing::TempDir() + "/abg_prefix_ckpt.json";
+  const std::string text = interrupted_run_checkpoint(path);
+  ASSERT_GT(text.size(), 97u * 4);
+  for (std::size_t len = 0; len < text.size(); len += 97) {
+    write_text(path, text.substr(0, len));
+    auto loaded = load_checkpoint(path);
+    ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << len;
+  }
+  write_text(path, text);
+  EXPECT_TRUE(load_checkpoint(path).ok());
 }
 
 // A candidate with a blank handler field parses (empty texts are legal for
@@ -262,29 +386,31 @@ TEST(Checkpoint, MissingFileIsIoErrorAndGarbageIsParseError) {
 // validation, so resume must reject it instead of dereferencing a null
 // handler later.
 TEST(Checkpoint, BlankCandidateHandlerIsParseErrorNotCrash) {
-  const std::string path = testing::TempDir() + "/abg_blank_cand_ckpt.txt";
-  std::remove(path.c_str());
-  {
-    util::fault::Config cfg;
-    cfg.cancel_after_iterations = 1;
-    FaultGuard guard(cfg);
-    SynthesisOptions opts = quick_opts();
-    opts.checkpoint_path = path;
-    (void)synthesize(dsl::reno_dsl(), reno_segments(), opts);
-  }
-  std::ifstream in(path);
-  std::string text, line;
+  const std::string path = testing::TempDir() + "/abg_blank_cand_ckpt.json";
+  auto doc = util::parse_json(interrupted_run_checkpoint(path));
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  // Rebuild the document with the first candidate's handler blanked (its
+  // distance and sketch kept).
   bool blanked = false;
-  while (std::getline(in, line)) {
-    if (!blanked && line.rfind("cand\t", 0) == 0) {
-      line.erase(line.rfind('\t') + 1);  // keep distance and sketch, drop the handler
-      blanked = true;
+  std::vector<std::pair<std::string, util::JsonValue>> members;
+  for (const auto& [key, value] : doc->members()) {
+    if (key != "candidates" || value.items().empty()) {
+      members.emplace_back(key, value);
+      continue;
     }
-    text += line + "\n";
+    std::vector<util::JsonValue> cands = value.items();
+    std::vector<std::pair<std::string, util::JsonValue>> first;
+    for (const auto& [k, v] : cands[0].members()) {
+      first.emplace_back(k, k == "handler" ? util::JsonValue::string("") : v);
+    }
+    cands[0] = util::JsonValue::object(std::move(first));
+    members.emplace_back(key, util::JsonValue::array(std::move(cands)));
+    blanked = true;
   }
-  in.close();
-  ASSERT_TRUE(blanked) << "checkpoint has no candidate line";
-  std::ofstream(path, std::ios::trunc) << text;
+  ASSERT_TRUE(blanked) << "checkpoint has no candidate";
+  obs::JsonWriter w;
+  emit_json(w, util::JsonValue::object(std::move(members)));
+  write_text(path, w.take());
   ASSERT_TRUE(load_checkpoint(path).ok());  // well-formed file, bad content
 
   SynthesisOptions opts = quick_opts();

@@ -26,8 +26,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/engine.hpp"
+#include "api/manifest.hpp"
 #include "dist/worker.hpp"
 #include "net/simulator.hpp"
+#include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "serve/admission.hpp"
 #include "serve/job_store.hpp"
@@ -449,6 +452,63 @@ TEST(ServiceHttp, SubmitRunFetchResultEndToEnd) {
   EXPECT_TRUE(doc->find("found")->as_bool());
   EXPECT_FALSE(doc->find("partial")->as_bool());
   EXPECT_FALSE(doc->find("handler")->as_string().empty());
+
+  // The result document and a batch report's job object are one shape: run
+  // the same spec through an api::Engine, as `abagnale_cli --batch` does,
+  // write it the way the batch report does, and compare field by field.
+  // Only wall-clock values (seconds, wall_ms) may differ.
+  {
+    auto spec = api::parse_job_spec(quick_spec_json());
+    ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+    api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+    auto handle = engine.submit(std::move(*spec));
+    ASSERT_TRUE(handle.ok()) << handle.status().to_string();
+    obs::JsonWriter w;
+    w.begin_object();
+    w.key("name");
+    w.value(handle->wait().name);
+    api::job_result_to_json(w, handle->wait());
+    w.end_object();
+    auto batch = util::parse_json(w.take());
+    ASSERT_TRUE(batch.ok()) << batch.status().to_string();
+
+    // Each surface's own keys aside (the service's id/partial, the batch
+    // report's name), the members must match in order.
+    auto result_fields = [](const util::JsonValue& obj) {
+      std::vector<std::pair<std::string, util::JsonValue>> out;
+      for (const auto& m : obj.members()) {
+        if (m.first != "id" && m.first != "partial" && m.first != "name") out.push_back(m);
+      }
+      return out;
+    };
+    const auto served_fields = result_fields(*doc);
+    const auto batch_fields = result_fields(*batch);
+    ASSERT_EQ(served_fields.size(), batch_fields.size());
+    ASSERT_GE(served_fields.size(), 11u);  // every JobResult field of a found job
+    for (std::size_t i = 0; i < served_fields.size(); ++i) {
+      const auto& [key, served] = served_fields[i];
+      const auto& batched = batch_fields[i].second;
+      SCOPED_TRACE(key);
+      EXPECT_EQ(key, batch_fields[i].first);
+      EXPECT_EQ(served.type(), batched.type());
+      if (key == "seconds") continue;
+      if (key == "convergence") {
+        ASSERT_EQ(served.items().size(), batched.items().size());
+        for (std::size_t p = 0; p < served.items().size(); ++p) {
+          const auto& a = served.items()[p];
+          const auto& b = batched.items()[p];
+          EXPECT_EQ(a.find("iteration")->as_double(), b.find("iteration")->as_double());
+          EXPECT_EQ(a.find("best_distance")->as_double(), b.find("best_distance")->as_double());
+          EXPECT_TRUE(a.find("wall_ms")->is_number());
+          EXPECT_TRUE(b.find("wall_ms")->is_number());
+        }
+        continue;
+      }
+      EXPECT_EQ(served.as_string(), batched.as_string());
+      EXPECT_EQ(served.as_double(), batched.as_double());
+      EXPECT_EQ(served.as_bool(), batched.as_bool());
+    }
+  }
 
   const std::string list = http_get(server.port(), "/jobs");
   EXPECT_NE(body_of(list).find("\"id\":\"" + id + "\""), std::string::npos);
