@@ -142,9 +142,9 @@ util::Status reassign_from(Fleet& fleet, std::size_t dead_wi) {
   return util::Status::ok();
 }
 
-// POST /shard/load to worker `wi` with its currently-owned buckets and their
+// POST /v1/shard/load to worker `wi` with its currently-owned buckets and their
 // committed states. Used at job start and never after (mid-run adoption goes
-// through /shard/restore, which preserves the worker's other buckets).
+// through /v1/shard/restore, which preserves the worker's other buckets).
 util::Status load_worker(Fleet& fleet, std::size_t wi) {
   std::vector<std::size_t> owned;
   for (std::size_t b = 0; b < fleet.committed.size(); ++b) {
@@ -166,7 +166,7 @@ util::Status load_worker(Fleet& fleet, std::size_t wi) {
   w.end_array();
   w.end_object();
 
-  auto r = rpc(fleet, wi, "POST", "/shard/load", w.take());
+  auto r = rpc(fleet, wi, "POST", "/v1/shard/load", w.take());
   if (!r.ok()) return r.status();
   if (r->code != 200) {
     return util::Status(util::StatusCode::kUnknown,
@@ -255,7 +255,7 @@ util::Status dispatch_pass(Fleet& fleet, const std::vector<std::string>& labels,
         for (std::size_t b : restore) write_bucket_checkpoint(w, fleet.committed[b]);
         w.end_array();
         w.end_object();
-        auto r = rpc(fleet, wi, "POST", "/shard/restore", w.take());
+        auto r = rpc(fleet, wi, "POST", "/v1/shard/restore", w.take());
         if (!r.ok() || r->code != 200) {
           if (wv.failures >= fleet.copts.max_rpc_failures || (r.ok() && r->code != 200)) {
             mark_dead(fleet, wi, "restore failed");
@@ -280,7 +280,7 @@ util::Status dispatch_pass(Fleet& fleet, const std::vector<std::string>& labels,
       w.key("working");
       w.raw(working_json);
       w.end_object();
-      auto r = rpc(fleet, wi, "POST", "/shard/iterate", w.take());
+      auto r = rpc(fleet, wi, "POST", "/v1/shard/iterate", w.take());
       if (!r.ok()) {
         if (wv.failures >= fleet.copts.max_rpc_failures) {
           mark_dead(fleet, wi, "iterate failed");
@@ -323,7 +323,7 @@ util::Status dispatch_pass(Fleet& fleet, const std::vector<std::string>& labels,
     for (std::size_t wi = 0; wi < fleet.workers.size(); ++wi) {
       WorkerView& wv = fleet.workers[wi];
       if (!wv.alive || !wv.busy) continue;
-      auto r = rpc(fleet, wi, "GET", "/shard/status", "");
+      auto r = rpc(fleet, wi, "GET", "/v1/shard/status", "");
       if (!r.ok()) {
         if (wv.failures >= fleet.copts.max_rpc_failures) {
           mark_dead(fleet, wi, "status poll failed");
@@ -385,7 +385,7 @@ void poll_cache_tallies(Fleet& fleet, std::uint64_t* hits, std::uint64_t* misses
   *misses = 0;
   for (std::size_t wi = 0; wi < fleet.workers.size(); ++wi) {
     if (!fleet.workers[wi].alive) continue;
-    auto r = rpc(fleet, wi, "GET", "/shard/status", "");
+    auto r = rpc(fleet, wi, "GET", "/v1/shard/status", "");
     if (!r.ok()) continue;
     auto doc = util::parse_json(r->body);
     if (!doc.ok()) continue;

@@ -9,8 +9,8 @@
 //
 // The remote executor, per pass:
 //   1. group the live buckets by owning worker (round-robin at job start),
-//   2. POST /shard/iterate to every group's worker (202 + background pass),
-//   3. poll GET /shard/status until every group reports its post-pass
+//   2. POST /v1/shard/iterate to every group's worker (202 + background pass),
+//   3. poll GET /v1/shard/status until every group reports its post-pass
 //      BucketCheckpoints,
 //   4. return them (and the best handler parsed from each) in the driver's
 //      label order.
@@ -19,7 +19,7 @@
 // last *completed* pass. When a worker stops answering (max_rpc_failures
 // consecutive RPC errors — covers kill -9, hangs, and network loss), its
 // live buckets are reassigned: a surviving worker adopts the committed
-// states (POST /shard/restore) and re-runs the pass. Because a pass is a
+// states (POST /v1/shard/restore) and re-runs the pass. Because a pass is a
 // pure function of its entry state (see synth/shard.hpp), the re-run
 // reproduces exactly what the dead worker would have produced, and the
 // final winner is unchanged. A worker once declared dead is never reused —

@@ -209,7 +209,7 @@ obs::HttpResponse Worker::handle_iterate(const obs::HttpRequest& req) {
 
   std::lock_guard lk(mu_);
   if (state_ == State::kEmpty) {
-    return obs::error_response(409, "conflict", "no shard loaded; POST /shard/load first");
+    return obs::error_response(409, "conflict", "no shard loaded; POST /v1/shard/load first");
   }
   if (state_ == State::kBusy) {
     return obs::error_response(409, "busy",
@@ -326,7 +326,7 @@ obs::HttpResponse Worker::handle_restore(const obs::HttpRequest& req) {
 
   std::lock_guard lk(mu_);
   if (state_ == State::kEmpty) {
-    return obs::error_response(409, "conflict", "no shard loaded; POST /shard/load first");
+    return obs::error_response(409, "conflict", "no shard loaded; POST /v1/shard/load first");
   }
   if (state_ == State::kBusy) {
     return obs::error_response(409, "busy", "a pass is running; cannot restore");

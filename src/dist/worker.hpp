@@ -1,6 +1,8 @@
 // The worker half of distributed refinement search (ISSUE 9). One Worker
 // owns a synth::ShardEngine for its assigned buckets and exposes it over the
-// StatusServer's HTTP plumbing:
+// StatusServer's HTTP plumbing, at /v1/shard/* (the coordinator's spelling;
+// the unversioned /shard/* alias answers with a Deprecation header and
+// counts into http.deprecated_requests):
 //
 //   POST /shard/load     {epoch, spec, buckets, states}  build the engine:
 //                        load the spec's traces, build the segment pool with

@@ -18,6 +18,7 @@
 
 #include "obs/json.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/registry.hpp"
 
 namespace abg::obs {
 
@@ -313,7 +314,10 @@ struct StatusServer::Impl {
     if (!versioned) {
       // Deprecation (RFC 9745) + the successor link, on every unversioned
       // response — transport errors included, so clients migrating off the
-      // legacy spelling hear about it no matter what they hit.
+      // legacy spelling hear about it no matter what they hit. The counter
+      // shows who still does.
+      static auto& c_deprecated = counter("http.deprecated_requests");
+      c_deprecated.add();
       resp.headers.emplace_back("Deprecation", "true");
       resp.headers.emplace_back("Link", "</v1" + unversioned_path + ">; rel=\"successor-version\"");
     }

@@ -166,6 +166,7 @@ void write_bucket_checkpoint(obs::JsonWriter& w, const BucketCheckpoint& ck) {
   w.begin_object();
   put_text(w, "label", ck.label);
   put_count(w, "sketches", ck.sketches);
+  put_u64(w, "stream_hash", ck.stream_hash);
   put_count(w, "handlers_scored", ck.handlers_scored);
   put_flag(w, "exhausted", ck.exhausted);
   w.key("rng");
@@ -188,6 +189,7 @@ util::Status bucket_checkpoint_from_json(const JsonValue& j, BucketCheckpoint* o
   Fields f(j);
   f.text("label", &ck.label);
   f.integer("sketches", &ck.sketches);
+  f.u64("stream_hash", &ck.stream_hash);
   f.integer("handlers_scored", &ck.handlers_scored);
   f.flag("exhausted", &ck.exhausted);
   f.record("rng", &ck.rng, rng_state_from_json);

@@ -13,8 +13,9 @@
 //     exchange is the same BucketCheckpoint record.
 //
 // Sketches are NOT serialized: the SMT enumerator is deterministic, so a
-// bucket records only how many sketches it had enumerated and the reader
-// re-derives them. Handlers travel as text (dsl::to_string / dsl::parse).
+// bucket records only how many sketches it had enumerated, plus a hash of
+// them, and the reader re-derives them and checks the hash. Handlers travel
+// as text (dsl::to_string / dsl::parse).
 // Two encoding rules keep every value bit-exact through JSON, whose numbers
 // are doubles:
 //
@@ -41,6 +42,8 @@ namespace abg::synth {
 struct BucketCheckpoint {
   std::string label;
   std::size_t sketches = 0;  // re-enumerated on resume
+  // sketch_stream_hash over those sketches (0 for none), checked on resume.
+  std::uint64_t stream_hash = 0;
   std::size_t handlers_scored = 0;
   bool exhausted = false;
   util::Rng::State rng;

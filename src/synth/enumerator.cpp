@@ -3,6 +3,8 @@
 #include <z3++.h>
 
 #include <algorithm>
+#include <compare>
+#include <map>
 #include <unordered_set>
 
 #include "dsl/simplify.hpp"
@@ -446,6 +448,129 @@ std::optional<dsl::ExprPtr> SketchEnumerator::next() { return impl_->next(); }
 bool SketchEnumerator::exhausted() const { return impl_->exhausted; }
 std::size_t SketchEnumerator::models_enumerated() const { return impl_->models; }
 std::size_t SketchEnumerator::sketches_emitted() const { return impl_->emitted; }
+
+struct SketchStream::Key {
+  std::vector<dsl::Signal> signals;
+  std::vector<dsl::Op> ops;
+  bool allow_constants = true;
+  std::optional<std::vector<dsl::Op>> bucket;
+  bool unit_check = true;
+  int max_holes = 0;
+  int max_depth = 0;
+  int max_nodes = 0;
+
+  auto operator<=>(const Key&) const = default;
+};
+
+struct SketchStream::Registry {
+  std::mutex mu;
+  std::map<Key, std::weak_ptr<SketchStream>> streams;
+};
+
+SketchStream::Registry& SketchStream::registry() {
+  // Leaked on purpose: a lease may still drop during static destruction.
+  static auto* reg = new Registry;
+  return *reg;
+}
+
+SketchStream::SketchStream(const dsl::Dsl& dsl, const EnumeratorOptions& opts)
+    : dsl_(dsl),
+      opts_(opts),
+      key_(std::make_unique<Key>(Key{dsl.signals, dsl.ops, dsl.allow_constants, opts.bucket,
+                                     opts.unit_check, opts.max_holes,
+                                     opts.max_depth.value_or(dsl.max_depth),
+                                     opts.max_nodes.value_or(dsl.max_nodes)})) {}
+
+SketchStream::~SketchStream() = default;
+
+std::shared_ptr<SketchStream> SketchStream::lease(const dsl::Dsl& dsl,
+                                                  const EnumeratorOptions& opts) {
+  static auto& g_live = obs::gauge("synth.streams_live");
+  Registry& reg = registry();
+  std::shared_ptr<SketchStream> stream;
+  {
+    // A candidate (no producer yet) is made outside the registry lock and
+    // registered under it only if the spec has no live stream, so two leases
+    // of one spec can never race to two streams.
+    std::unique_ptr<SketchStream> fresh(new SketchStream(dsl, opts));
+    std::lock_guard lk(reg.mu);
+    auto it = reg.streams.find(*fresh->key_);
+    if (it != reg.streams.end()) {
+      if (auto live = it->second.lock()) return live;
+    }
+    // The last lease erases the entry (unless a newer stream of the same
+    // spec already took it over) and then destroys the stream, producer
+    // included, outside the registry lock.
+    stream.reset(fresh.release(), [](SketchStream* s) {
+      Registry& r = registry();
+      {
+        std::lock_guard lk(r.mu);
+        auto it = r.streams.find(*s->key_);
+        if (it != r.streams.end() && it->second.expired()) r.streams.erase(it);
+        g_live.set(static_cast<double>(r.streams.size()));
+      }
+      delete s;
+    });
+    reg.streams.insert_or_assign(*stream->key_, stream);
+    g_live.set(static_cast<double>(reg.streams.size()));
+  }
+  // Build the producer outside the registry lock; a concurrent lease of the
+  // same spec waits for it on the stream lock.
+  std::lock_guard lk(stream->mu_);
+  if (!stream->done_) stream->producer();
+  return stream;
+}
+
+SketchEnumerator& SketchStream::producer() {
+  if (!producer_) producer_ = std::make_unique<SketchEnumerator>(dsl_, opts_);
+  return *producer_;
+}
+
+std::optional<dsl::ExprPtr> SketchStream::at(std::size_t i, bool* produced) {
+  if (produced != nullptr) *produced = false;
+  for (;;) {
+    std::unique_ptr<SketchEnumerator> spent;  // torn down after the lock is released
+    {
+      std::lock_guard lk(mu_);
+      if (i < sketches_.size()) return sketches_[i];
+      if (done_) return std::nullopt;
+      if (auto s = producer().next()) {
+        sketches_.push_back(std::move(*s));
+        if (sketches_.size() <= i) continue;  // not there yet; relock for the next one
+        if (produced != nullptr) *produced = true;
+        return sketches_.back();
+      }
+      done_ = true;
+      spent = std::move(producer_);
+    }
+    return std::nullopt;
+  }
+}
+
+std::size_t SketchStream::shared_prefix(const std::vector<dsl::ExprPtr>& held) const {
+  std::lock_guard lk(mu_);
+  std::size_t n = 0;
+  while (n < held.size() && n < sketches_.size() && held[n] == sketches_[n]) ++n;
+  return n;
+}
+
+void SketchStream::copy_prefix(std::size_t n, std::vector<dsl::ExprPtr>* out) const {
+  std::lock_guard lk(mu_);
+  const std::size_t end = std::min(n, sketches_.size());
+  for (std::size_t i = out->size(); i < end; ++i) out->push_back(sketches_[i]);
+}
+
+std::uint64_t sketch_stream_hash(const std::vector<dsl::ExprPtr>& sketches) {
+  std::uint64_t h = 0;
+  for (const auto& s : sketches) {
+    // splitmix64's finalizer over the running hash and the next sketch.
+    std::uint64_t z = (h ^ static_cast<std::uint64_t>(dsl::hash_expr(*s))) + 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    h = z ^ (z >> 31);
+  }
+  return h;
+}
 
 std::vector<dsl::ExprPtr> enumerate_all(const dsl::Dsl& dsl, const EnumeratorOptions& opts,
                                         std::size_t cap) {

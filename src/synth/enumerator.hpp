@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -61,6 +63,67 @@ class SketchEnumerator {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+// The append-only list of canonical sketches for one enumeration spec,
+// extended by its own SketchEnumerator (the producer). §4.1's sketch space
+// depends on the DSL, the operator set and the size bounds only, never on
+// traces or seed, so every job in flight that searches the same spec shares
+// one stream: the Z3 state is built, solved and held once per spec instead
+// of once per job.
+//
+// A lease is a shared_ptr. The process-wide registry keeps only a weak
+// reference, keyed on the exact spec (DSL signals and ops in order,
+// allow_constants, bucket op set, unit_check, max_holes and the effective
+// max_depth/max_nodes, compared field by field), and drops the entry with
+// the last lease, so nothing outlives the jobs using it. The producer is
+// torn down when the stream is exhausted or its last lease drops, on
+// whichever thread does that.
+//
+// Lock discipline: one mutex per stream, taken once per sketch produced (or
+// once per prefix read), never while the caller scores or waits on a pool.
+// A caller blocked behind another lease's solve therefore gets control back
+// after that one sketch and can poll its cancellation.
+class SketchStream {
+ public:
+  // The live stream for this spec, or a new one with its producer built.
+  // The "synth.streams_live" gauge is the registry's size.
+  static std::shared_ptr<SketchStream> lease(const dsl::Dsl& dsl, const EnumeratorOptions& opts);
+
+  SketchStream(const SketchStream&) = delete;
+  SketchStream& operator=(const SketchStream&) = delete;
+  ~SketchStream();
+
+  // Sketch i, producing the sketches up to it first; nullopt once the space
+  // is exhausted before i. `*produced` (when given) tells whether this call
+  // produced sketch i rather than finding it produced by another caller.
+  std::optional<dsl::ExprPtr> at(std::size_t i, bool* produced = nullptr);
+  // How many leading sketches of `held` are this stream's own (pointer
+  // identity), read under one lock.
+  std::size_t shared_prefix(const std::vector<dsl::ExprPtr>& held) const;
+  // Append the already-produced sketches [out->size(), n) to *out, under one
+  // lock; stops early where production has not reached.
+  void copy_prefix(std::size_t n, std::vector<dsl::ExprPtr>* out) const;
+
+ private:
+  struct Key;
+  struct Registry;
+  static Registry& registry();
+  SketchStream(const dsl::Dsl& dsl, const EnumeratorOptions& opts);
+  SketchEnumerator& producer();  // built on first use; caller holds mu_
+
+  const dsl::Dsl dsl_;
+  const EnumeratorOptions opts_;
+  std::unique_ptr<Key> key_;
+  mutable std::mutex mu_;
+  std::unique_ptr<SketchEnumerator> producer_;  // null before first use and once done
+  std::vector<dsl::ExprPtr> sketches_;
+  bool done_ = false;
+};
+
+// Identity of a sketch stream's first sketches: a splitmix64 fold of
+// dsl::hash_expr over them (0 for none). A BucketCheckpoint records it, so a
+// process that re-derives the stream can tell it produced the same one.
+std::uint64_t sketch_stream_hash(const std::vector<dsl::ExprPtr>& sketches);
 
 // Convenience: enumerate every sketch in the (sub-)space, up to `cap`.
 std::vector<dsl::ExprPtr> enumerate_all(const dsl::Dsl& dsl, const EnumeratorOptions& opts,

@@ -415,10 +415,13 @@ SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Seg
     }
   }
   if (!resumed) sampler.grow_to(static_cast<std::size_t>(opts.initial_segments));
-  // Sketch lists are re-derived, not deserialized: the SMT enumerator is
-  // deterministic, so a resumed bucket re-enumerates its recorded count.
+  // Sketch lists are re-derived, not deserialized: a resumed bucket takes
+  // its recorded count from its stream and checks the recorded hash. A
+  // failed load reports nothing restored, as the other resume guards do.
   if (auto st = exec.load(committed); !st.is_ok()) {
     result.status = st;
+    result.best = ScoredHandler{};
+    result.iterations.clear();
     return result;
   }
 

@@ -31,38 +31,36 @@ std::uint32_t journal_job_id(const SynthesisOptions& opts) {
 
 namespace {
 
-std::unique_ptr<SketchEnumerator> make_bucket_enumerator(const dsl::Dsl& dsl,
-                                                         const SynthesisOptions& opts,
-                                                         const Bucket& bucket) {
+EnumeratorOptions bucket_enumerator_options(const SynthesisOptions& opts, const Bucket& bucket) {
   EnumeratorOptions eopts;
   eopts.unit_check = opts.unit_check;
   eopts.bucket = bucket.ops;
   eopts.max_holes = opts.max_holes;
   eopts.max_depth = opts.max_depth;
   eopts.max_nodes = opts.max_nodes;
-  return std::make_unique<SketchEnumerator>(dsl, eopts);
+  return eopts;
 }
 
-// Advance st.enumerator until it has emitted `count` sketches: the ones st
-// already holds are re-derived and must match, the rest are appended. Counts
-// nothing and journals nothing; the original enumeration already did.
-util::Status fast_forward(BucketSearchState& st, std::size_t count) {
-  while (st.enumerator->sketches_emitted() < count) {
-    const std::size_t i = st.enumerator->sketches_emitted();
-    auto s = st.enumerator->next();
+// Check that the sketches st holds are its stream's first ones, producing
+// them if the stream is new. A held sketch that is an equal tree but not the
+// stream's own object is swapped for the stream's, so the next check is a
+// pointer comparison. Counts nothing and journals nothing.
+util::Status check_held_sketches(BucketSearchState& st) {
+  for (std::size_t i = st.enumerator->shared_prefix(st.sketches); i < st.sketches.size(); ++i) {
+    auto s = st.enumerator->at(i);
     if (!s) {
       return util::Status(util::StatusCode::kParseError,
-                          "bucket " + st.bucket.label + " records " + std::to_string(count) +
-                              " sketches but the enumerator produced only " + std::to_string(i));
+                          "bucket " + st.bucket.label + " holds " +
+                              std::to_string(st.sketches.size()) +
+                              " sketches but its stream ends after " + std::to_string(i));
     }
-    if (i == st.sketches.size()) {
-      st.sketches.push_back(std::move(*s));
-    } else if (!dsl::equal(**s, *st.sketches[i])) {
+    if (!dsl::equal(**s, *st.sketches[i])) {
       return util::Status(util::StatusCode::kParseError,
                           "bucket " + st.bucket.label + " sketch " + std::to_string(i) +
                               " diverged: held '" + dsl::to_string(*st.sketches[i]) +
                               "', re-derived '" + dsl::to_string(**s) + "'");
     }
+    st.sketches[i] = std::move(*s);
   }
   return util::Status::ok();
 }
@@ -72,26 +70,28 @@ util::Status fast_forward(BucketSearchState& st, std::size_t count) {
 void ensure_bucket_enumerator(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                               BucketSearchState& st) {
   if (st.enumerator || st.exhausted) return;
-  st.enumerator = make_bucket_enumerator(dsl, opts, st.bucket);
+  st.enumerator = SketchStream::lease(dsl, bucket_enumerator_options(opts, st.bucket));
 }
 
 util::Status enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                                        BucketSearchState& st, std::size_t target,
                                        const std::function<bool()>& stop) {
   static auto& c_sketches = obs::counter("synth.sketches_enumerated");
+  static auto& c_shared = obs::counter("synth.stream_sketches_shared");
   if (st.exhausted || st.sketches.size() >= target) return util::Status::ok();
   ensure_bucket_enumerator(dsl, opts, st);
-  // A rebuilt enumerator starts at sketch 0.
-  if (auto s = fast_forward(st, st.sketches.size()); !s.is_ok()) return s;
+  if (auto s = check_held_sketches(st); !s.is_ok()) return s;
   // Always enumerate at least one sketch so an expired budget still returns
   // the best handler seen (§4.4's interrupt semantics).
   while (st.sketches.size() < target && (st.sketches.empty() || !stop())) {
-    auto s = st.enumerator->next();
+    bool produced = false;
+    auto s = st.enumerator->at(st.sketches.size(), &produced);
     if (!s) {
       st.exhausted = true;
       break;
     }
     c_sketches.add();
+    if (!produced) c_shared.add();
     // Journaled under the caller's provenance (the pass task's bucket
     // scope; no scope, no event).
     if (obs::journal_enabled()) obs::journal_record_sketch(dsl::hash_expr(**s));
@@ -145,6 +145,7 @@ BucketCheckpoint bucket_state_to_checkpoint(const BucketSearchState& st) {
   BucketCheckpoint b;
   b.label = st.bucket.label;
   b.sketches = st.sketches.size();
+  b.stream_hash = sketch_stream_hash(st.sketches);
   b.handlers_scored = st.handlers_scored;
   b.exhausted = st.exhausted;
   b.rng = st.rng.state();
@@ -162,15 +163,34 @@ util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOp
   auto best = parse_scored_handler(ck.best_distance, ck.best_sketch, ck.best_handler);
   if (!best.ok()) return best.status().with_context("bucket " + ck.label);
   st->best = *best;
-  // Sketches are re-derived, not deserialized: the SMT enumerator is
-  // deterministic, so pulling the recorded count reproduces the list. This
-  // intentionally does NOT count into synth.sketches_enumerated — the
-  // original enumeration already did (checkpoint resume has the same rule).
+  // Sketches are not deserialized: the bucket's stream is deterministic, so
+  // its first ck.sketches are the list. Taking them does NOT count into
+  // synth.sketches_enumerated; the original enumeration already did.
   st->sketches.clear();
   st->enumerator.reset();
-  if (ck.sketches == 0) return util::Status::ok();
-  st->enumerator = make_bucket_enumerator(dsl, opts, st->bucket);
-  return fast_forward(*st, ck.sketches);
+  if (ck.sketches > 0) {
+    st->enumerator = SketchStream::lease(dsl, bucket_enumerator_options(opts, st->bucket));
+    st->enumerator->copy_prefix(ck.sketches, &st->sketches);
+  }
+  while (st->sketches.size() < ck.sketches) {
+    auto s = st->enumerator->at(st->sketches.size());
+    if (!s) {
+      return util::Status(util::StatusCode::kParseError,
+                          "bucket " + ck.label + " records " + std::to_string(ck.sketches) +
+                              " sketches but its stream holds only " +
+                              std::to_string(st->sketches.size()));
+    }
+    st->sketches.push_back(std::move(*s));
+  }
+  // A different Z3 build could derive a different stream of the same length.
+  if (const std::uint64_t h = sketch_stream_hash(st->sketches); h != ck.stream_hash) {
+    return util::Status(util::StatusCode::kParseError,
+                        "bucket " + ck.label + " stream hash mismatch over " +
+                            std::to_string(ck.sketches) + " sketches: recorded " +
+                            std::to_string(ck.stream_hash) + ", this process derives " +
+                            std::to_string(h));
+  }
+  return util::Status::ok();
 }
 
 ShardEngine::ShardEngine(dsl::Dsl dsl, const std::vector<trace::Segment>& segments,

@@ -52,28 +52,31 @@ std::uint32_t journal_job_id(const SynthesisOptions& opts);
 // Mutable per-bucket search state kept across iterations.
 struct BucketSearchState {
   Bucket bucket;
-  // Created on first use and released once useless (the bucket is
-  // exhausted or no longer searched); rebuilt exactly if needed again.
-  std::unique_ptr<SketchEnumerator> enumerator;
-  std::vector<dsl::ExprPtr> sketches;            // enumerated so far
+  // Lease on the bucket's sketch stream, shared with every other job in
+  // flight on the same spec. Taken on first use and dropped once useless
+  // (the bucket is exhausted or no longer searched); re-leased if needed
+  // again.
+  std::shared_ptr<SketchStream> enumerator;
+  std::vector<dsl::ExprPtr> sketches;            // taken from the stream so far
   ScoredHandler best;                            // best under the *current* segment set
   std::size_t handlers_scored = 0;
   bool exhausted = false;
   util::Rng rng{0};
 };
 
-// Create st.enumerator from the run options (idempotent; no-op when already
-// built or the bucket is exhausted).
+// Lease st's sketch stream under the run options (idempotent; no-op when
+// already held or the bucket is exhausted).
 void ensure_bucket_enumerator(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                               BucketSearchState& st);
 
-// Enumerate until st holds `target` sketches or the bucket is exhausted,
-// counting each new sketch into "synth.sketches_enumerated" and journaling it
-// under the caller's scope. Always enumerates at least one sketch even when
-// `stop` fires, so an expired budget still returns the best handler seen
-// (§4.4's interrupt semantics). A released enumerator is rebuilt and
-// fast-forwarded past the sketches st already holds, without counting or
-// journaling them; each re-derived sketch must equal the held one, else
+// Take sketches from st's stream until st holds `target` or the bucket is
+// exhausted, counting each new sketch into "synth.sketches_enumerated" (and
+// into "synth.stream_sketches_shared" when another lease produced it) and
+// journaling it under the caller's scope. Always takes at least one sketch
+// even when `stop` fires, so an expired budget still returns the best
+// handler seen (§4.4's interrupt semantics). The sketches st already holds
+// must be its stream's first ones (a re-leased stream re-derives them,
+// without counting or journaling); a held sketch that differs is
 // kParseError.
 util::Status enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                                        BucketSearchState& st, std::size_t target,
@@ -94,11 +97,11 @@ ScoredHandler score_bucket_pass(const dsl::Dsl& dsl, const SynthesisOptions& opt
 util::Result<ScoredHandler> parse_scored_handler(double distance, const std::string& sketch_text,
                                                  const std::string& handler_text);
 
-// Snapshot / restore one bucket's state. Restore re-derives the sketch list
-// by re-enumeration (the SMT enumerator is deterministic; sketches are never
-// serialized) — the same fast-forward enumerate_bucket_sketches uses for a
-// released enumerator, and identical to checkpoint resume in the
-// single-process loop.
+// Snapshot / restore one bucket's state. Restore takes the first
+// ck.sketches of the bucket's stream (sketches are never serialized; the
+// stream is deterministic) without counting or journaling them, and checks
+// them against ck.stream_hash: kParseError when the stream is shorter or its
+// hash differs. Checkpoint resume and worker adoption both come here.
 BucketCheckpoint bucket_state_to_checkpoint(const BucketSearchState& st);
 util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                                           const BucketCheckpoint& ck, BucketSearchState* st);
@@ -157,10 +160,11 @@ SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Seg
 // Buckets of one pass run in parallel, each under its own journal scope and
 // trace span.
 //
-// A bucket's Z3 state lives only while it can still yield sketches. The
-// engine releases an enumerator on the pool, never serially: in the bucket's
-// own pass task once it is exhausted, as extra tasks of the next pass for
-// held buckets that pass does not name, and in the destructor for the rest.
+// A bucket holds its stream lease only while it can still yield sketches.
+// The engine drops leases on the pool, never serially, so the last lease of
+// a stream tears its Z3 producer down there: in the bucket's own pass task
+// once it is exhausted, as extra tasks of the next pass for held buckets
+// that pass does not name, and in the destructor for the rest.
 class ShardEngine final : public PassExecutor {
  public:
   // `segments` is the job's full pool and must outlive the engine. The pool

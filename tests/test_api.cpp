@@ -1,11 +1,12 @@
 // Tests for the abg::api facade (batch Engine, JobSpec validation, manifest
 // parsing) and the work-stealing ThreadPool scheduler it runs on.
 //
-// The Scheduler* suite is deliberately Z3-free and simulator-free: CI runs
-// exactly that filter under ThreadSanitizer (`abg_tests_api
-// --gtest_filter='Scheduler*'`), where instrumenting the prebuilt solver is
-// not an option. Keep new scheduler/concurrency tests inside that prefix and
-// keep synthesis out of them.
+// CI runs the Scheduler* and SketchStream* suites under ThreadSanitizer
+// (`abg_tests_api --gtest_filter='Scheduler*:SketchStream*'`). Scheduler* is
+// deliberately Z3-free and simulator-free; SketchStream* runs real jobs,
+// whose prebuilt solver cannot be instrumented and is suppressed by library
+// (tests/tsan.supp). Keep new scheduler tests inside the first prefix and
+// synthesis out of them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +18,13 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "abg/abagnale.hpp"
 #include "net/simulator.hpp"
+#include "obs/registry.hpp"
+#include "synth/shard.hpp"
 #include "util/json_parse.hpp"
 
 namespace abg {
@@ -601,6 +605,172 @@ TEST(EngineStatus, ConvergenceSeriesTracksIterationReports) {
     prev_best = p.best_distance;
     prev_wall = p.wall_ms;
   }
+}
+
+// --- SketchStream: jobs in flight share one Z3 producer per spec. ----------
+
+TEST(SketchStream, SpecsDifferingInAnyKeyFieldNeverShare) {
+  dsl::Dsl d = dsl::reno_dsl();
+  d.max_depth = 2;
+  d.max_nodes = 3;
+  synth::EnumeratorOptions base;
+  base.bucket = std::vector<dsl::Op>{dsl::Op::kAdd};
+  base.max_holes = 1;
+  auto& live = obs::gauge("synth.streams_live");
+  const double live0 = live.last();
+  auto a = synth::SketchStream::lease(d, base);
+
+  // The same spec shares, however it is spelled: explicit bounds equal to the
+  // DSL's, or a DSL under another name.
+  synth::EnumeratorOptions explicit_bounds = base;
+  explicit_bounds.max_depth = d.max_depth;
+  explicit_bounds.max_nodes = d.max_nodes;
+  EXPECT_EQ(synth::SketchStream::lease(d, explicit_bounds), a);
+  dsl::Dsl renamed = d;
+  renamed.name = "renamed";
+  EXPECT_EQ(synth::SketchStream::lease(renamed, base), a);
+
+  std::vector<std::pair<std::string, std::shared_ptr<synth::SketchStream>>> variants;
+  auto vary_dsl = [&](const char* what, auto change) {
+    dsl::Dsl v = d;
+    change(v);
+    variants.emplace_back(what, synth::SketchStream::lease(v, base));
+  };
+  auto vary_opts = [&](const char* what, auto change) {
+    synth::EnumeratorOptions v = base;
+    change(v);
+    variants.emplace_back(what, synth::SketchStream::lease(d, v));
+  };
+  vary_dsl("signal order", [](dsl::Dsl& v) { std::swap(v.signals.front(), v.signals.back()); });
+  vary_dsl("op order", [](dsl::Dsl& v) { std::swap(v.ops.front(), v.ops.back()); });
+  vary_dsl("allow_constants", [](dsl::Dsl& v) { v.allow_constants = false; });
+  vary_dsl("dsl max_depth", [](dsl::Dsl& v) { v.max_depth = 3; });
+  vary_dsl("dsl max_nodes", [](dsl::Dsl& v) { v.max_nodes = 4; });
+  vary_opts("bucket", [](synth::EnumeratorOptions& v) { v.bucket = {{dsl::Op::kMul}}; });
+  vary_opts("no bucket", [](synth::EnumeratorOptions& v) { v.bucket.reset(); });
+  vary_opts("unit_check", [](synth::EnumeratorOptions& v) { v.unit_check = false; });
+  vary_opts("max_holes", [](synth::EnumeratorOptions& v) { v.max_holes = 2; });
+  // Distinct from the DSL variants above: the key holds the effective bound,
+  // so a DSL bound of 3 and an override of 3 are the same spec.
+  vary_opts("max_depth", [](synth::EnumeratorOptions& v) { v.max_depth = 4; });
+  vary_opts("max_nodes", [](synth::EnumeratorOptions& v) { v.max_nodes = 5; });
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(variants[i].second, a) << variants[i].first;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(variants[i].second, variants[j].second)
+          << variants[i].first << " vs " << variants[j].first;
+    }
+  }
+  EXPECT_EQ(live.last(), live0 + 1 + static_cast<double>(variants.size()));
+
+  // A second lease takes the sketch the first one produced, the same object.
+  bool produced = false;
+  const auto first = a->at(0, &produced);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(produced);
+  auto b = synth::SketchStream::lease(d, base);
+  const auto again = b->at(0, &produced);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_FALSE(produced);
+  EXPECT_EQ(again->get(), first->get());
+
+  a.reset();
+  b.reset();
+  variants.clear();
+  EXPECT_EQ(live.last(), live0);
+}
+
+void expect_same_job(const api::JobResult& solo, const api::JobResult& got,
+                     const std::string& label) {
+  ASSERT_TRUE(solo.ok() && got.ok()) << label << ": " << got.status.to_string();
+  expect_same_synthesis(solo.pipeline.synthesis, got.pipeline.synthesis, label);
+  ASSERT_EQ(solo.convergence.size(), got.convergence.size()) << label;
+  for (std::size_t i = 0; i < solo.convergence.size(); ++i) {
+    EXPECT_EQ(solo.convergence[i].iteration, got.convergence[i].iteration) << label;
+    EXPECT_EQ(solo.convergence[i].best_distance, got.convergence[i].best_distance) << label;
+  }
+}
+
+// Two identical Reno jobs, one that differs only in max_holes and one that
+// differs only in unit_check, run two at a time on one Engine. Each result
+// equals the same job run alone, and the registry is empty once wait_all()
+// returns. Then the batch runs again while a holder keeps every bucket stream
+// of the three specs alive, as one more job in flight on each would: the
+// identical jobs then share every stream, so exactly one producer is built
+// per distinct spec.
+TEST(SketchStream, ConcurrentJobsMatchSoloRunsWithOneProducerPerSpec) {
+  const auto reno = dsl::reno_dsl();
+  const auto segs = cca_segments("reno", 21);
+  std::vector<api::JobSpec> specs{quick_job("reno-a", reno, segs), quick_job("holes", reno, segs),
+                                  quick_job("units", reno, segs), quick_job("reno-b", reno, segs)};
+  specs[1].pipeline.synth.max_holes = 1;
+  specs[2].pipeline.synth.unit_check = false;
+  const std::size_t distinct = 3;  // reno-b is reno-a's spec
+
+  auto& built = obs::counter("synth.enumerators_built");
+  auto& shared = obs::counter("synth.stream_sketches_shared");
+  auto& live = obs::gauge("synth.streams_live");
+  const double live0 = live.last();
+
+  std::vector<api::JobResult> solo;
+  std::uint64_t solo_built = 0;
+  {
+    api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+    for (std::size_t i = 0; i < distinct; ++i) {
+      const auto built0 = built.value();
+      const auto shared0 = shared.value();
+      auto h = engine.submit(specs[i]);
+      ASSERT_TRUE(h.ok()) << h.status().to_string();
+      solo.push_back(h->wait());
+      solo_built += built.value() - built0;
+      // A job alone shares nothing and keeps nothing.
+      EXPECT_EQ(shared.value(), shared0) << specs[i].name;
+      EXPECT_EQ(live.last(), live0) << specs[i].name;
+    }
+  }
+  solo.push_back(solo[0]);
+  ASSERT_GT(solo_built, 0u);
+
+  auto run_batch = [&] {
+    api::Engine engine({.threads = 2, .max_concurrent_jobs = 2});
+    std::vector<api::JobHandle> handles;
+    for (const auto& spec : specs) {
+      auto h = engine.submit(spec);
+      EXPECT_TRUE(h.ok()) << h.status().to_string();
+      if (h.ok()) handles.push_back(*h);
+    }
+    engine.wait_all();
+    ASSERT_EQ(handles.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      expect_same_job(solo[i], *handles[i].poll(), specs[i].name);
+    }
+  };
+
+  // Unpinned: how much reno-a and reno-b share depends on scheduling.
+  run_batch();
+  EXPECT_EQ(live.last(), live0);
+
+  // Pinned by the holder's leases, which build the producers but take no
+  // sketches.
+  const auto built0 = built.value();
+  std::vector<synth::BucketSearchState> holder;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    for (auto& b : synth::make_buckets(reno)) {
+      synth::BucketSearchState st;
+      st.bucket = std::move(b);
+      synth::ensure_bucket_enumerator(reno, specs[i].pipeline.synth, st);
+      holder.push_back(std::move(st));
+    }
+  }
+  EXPECT_EQ(live.last(), live0 + static_cast<double>(holder.size()));
+  const auto shared0 = shared.value();
+  run_batch();
+  EXPECT_EQ(built.value() - built0, solo_built);
+  // Of the sketches reno-a and reno-b both take, whichever job comes second
+  // finds each one already produced.
+  EXPECT_EQ(shared.value() - shared0, solo[0].pipeline.synthesis.total_sketches);
+  holder.clear();
+  EXPECT_EQ(live.last(), live0);
 }
 
 }  // namespace

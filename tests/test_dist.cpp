@@ -31,6 +31,8 @@
 #include "obs/registry.hpp"
 #include "obs/status_server.hpp"
 #include "synth/buckets.hpp"
+#include "synth/checkpoint.hpp"
+#include "synth/shard.hpp"
 #include "trace/trace_io.hpp"
 #include "util/fault_injection.hpp"
 #include "util/status.hpp"
@@ -193,8 +195,12 @@ TEST(Dist, ThreeWorkerRunBitIdenticalToSingleProcess) {
 
   Fleet fleet(3);
   dist::Coordinator coord(quick_copts(fleet));
+  auto& deprecated = obs::counter("http.deprecated_requests");
+  const auto deprecated0 = deprecated.value();
   const api::JobResult got = coord.run(spec);
   expect_bit_identical(golden, got);
+  // Every shard RPC the coordinator sends is on the /v1 spelling.
+  EXPECT_EQ(deprecated.value(), deprecated0);
 }
 
 TEST(Dist, RejectsNonDistributableSpecs) {
@@ -397,7 +403,8 @@ TEST(Dist, MalformedProtocolMessagesAnswerParseErrorEnvelopes) {
   // segment index is read. Each is a parse error before any shard state is
   // consulted, so none of them may reach the 409 "no shard loaded" answer.
   const std::string good_state =
-      "{\"label\":\"{}\",\"sketches\":0,\"handlers_scored\":0,\"exhausted\":false,"
+      "{\"label\":\"{}\",\"sketches\":0,\"stream_hash\":\"0\",\"handlers_scored\":0,"
+      "\"exhausted\":false,"
       "\"rng\":[\"1\",\"2\",\"3\",\"4\",\"0\",\"0x0p+0\"],\"best_distance\":\"inf\","
       "\"best_sketch\":\"\",\"best_handler\":\"\"}";
   auto with_sketches = [&](const std::string& v) {
@@ -434,7 +441,7 @@ TEST(Dist, MalformedProtocolMessagesAnswerParseErrorEnvelopes) {
 
   // A state entry with a corrupt RNG word.
   r = post(fleet, "/shard/restore",
-           "{\"epoch\":1,\"states\":[{\"label\":\"{}\",\"sketches\":0,"
+           "{\"epoch\":1,\"states\":[{\"label\":\"{}\",\"sketches\":0,\"stream_hash\":\"0\","
            "\"handlers_scored\":0,\"exhausted\":false,\"rng\":[\"x\",\"0\",\"0\","
            "\"0\",\"0\",\"0x0p+0\"],\"best_distance\":\"inf\",\"best_sketch\":\"\","
            "\"best_handler\":\"\"}]}");
@@ -465,7 +472,7 @@ TEST(Dist, MalformedProtocolMessagesAnswerParseErrorEnvelopes) {
   // And now a corrupt restore reaches the state decoder and names the field.
   r = post(fleet, "/shard/restore",
            "{\"epoch\":1,\"states\":[{\"label\":\"" + buckets.front().label +
-               "\",\"sketches\":0,\"handlers_scored\":0,\"exhausted\":false,"
+               "\",\"sketches\":0,\"stream_hash\":\"0\",\"handlers_scored\":0,\"exhausted\":false,"
                "\"rng\":[\"x\",\"0\",\"0\",\"0\",\"0\",\"0x0p+0\"],"
                "\"best_distance\":\"inf\",\"best_sketch\":\"\",\"best_handler\":\"\"}]}");
   EXPECT_EQ(r.compare(0, 3, "400"), 0) << r;
@@ -478,6 +485,48 @@ TEST(Dist, MalformedProtocolMessagesAnswerParseErrorEnvelopes) {
   EXPECT_NE(status->body.find("\"idle\""), std::string::npos) << status->body;
 }
 
+// Adopting a bucket mid-search re-derives its sketches and checks the hash
+// the sender recorded over them.
+TEST(Dist, ShardLoadChecksTheStreamHash) {
+  Fleet fleet(1);
+  const api::JobSpec spec = quick_spec();
+  const synth::SynthesisOptions& opts = spec.pipeline.synth;
+  const auto reno = dsl::dsl_by_name(*spec.pipeline.dsl_override);
+  synth::BucketSearchState st;
+  st.bucket = synth::make_buckets(reno).front();
+  st.rng = util::Rng(synth::bucket_rng_seed(st.bucket.label, opts.seed));
+  ASSERT_TRUE(
+      synth::enumerate_bucket_sketches(reno, opts, st, 2, [] { return false; }).is_ok());
+  ASSERT_FALSE(st.sketches.empty());
+  synth::BucketCheckpoint ck = synth::bucket_state_to_checkpoint(st);
+
+  auto load = [&](const synth::BucketCheckpoint& state) {
+    obs::JsonWriter w;
+    w.begin_object();
+    w.key("epoch");
+    w.value(std::uint64_t{1});
+    w.key("spec");
+    w.raw(api::spec_to_json(spec));
+    w.key("buckets");
+    w.begin_array();
+    w.value(state.label);
+    w.end_array();
+    w.key("states");
+    w.begin_array();
+    synth::write_bucket_checkpoint(w, state);
+    w.end_array();
+    w.end_object();
+    return post(fleet, "/v1/shard/load", w.take());
+  };
+  std::string r = load(ck);
+  EXPECT_EQ(r.compare(0, 3, "200"), 0) << r;
+  ck.stream_hash ^= 1;
+  r = load(ck);
+  EXPECT_EQ(r.compare(0, 3, "400"), 0) << r;
+  EXPECT_NE(r.find("parse-error"), std::string::npos) << r;
+  EXPECT_NE(r.find("stream hash"), std::string::npos) << r;
+}
+
 // --- The versioned surface: /v1 canonical, legacy spellings deprecated. -----
 
 TEST(Dist, V1RoutesAnswerWithoutDeprecationLegacyWithIt) {
@@ -487,8 +536,11 @@ TEST(Dist, V1RoutesAnswerWithoutDeprecationLegacyWithIt) {
   EXPECT_EQ(v1->code, 200);
   EXPECT_EQ(v1->head.find("Deprecation:"), std::string::npos) << v1->head;
 
+  auto& deprecated = obs::counter("http.deprecated_requests");
+  const auto deprecated0 = deprecated.value();
   auto legacy = dist::http_request("127.0.0.1", fleet.port(0), "GET", "/shard/status", "", 10.0);
   ASSERT_TRUE(legacy.ok()) << legacy.status().to_string();
+  EXPECT_EQ(deprecated.value(), deprecated0 + 1);
   EXPECT_EQ(legacy->code, 200);
   EXPECT_NE(legacy->head.find("Deprecation: true"), std::string::npos) << legacy->head;
   EXPECT_NE(legacy->head.find("</v1/shard/status>; rel=\"successor-version\""),

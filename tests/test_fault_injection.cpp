@@ -247,6 +247,7 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
   BucketCheckpoint b;
   b.label = "{+,*," + kText + "}";
   b.sketches = 9007199254740992ull;
+  b.stream_hash = ~0ull - 4;
   b.handlers_scored = 1;
   b.exhausted = true;
   b.rng = {{1ull << 63, ~0ull, 12345, ~0ull - 2}, false, std::numeric_limits<double>::max()};
@@ -306,6 +307,7 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
     const auto& y = ck.buckets[i];
     EXPECT_EQ(x.label, y.label) << i;
     EXPECT_EQ(x.sketches, y.sketches) << i;
+    EXPECT_EQ(x.stream_hash, y.stream_hash) << i;
     EXPECT_EQ(x.handlers_scored, y.handlers_scored) << i;
     EXPECT_EQ(x.exhausted, y.exhausted) << i;
     EXPECT_TRUE(same_rng(x.rng, y.rng)) << i;
@@ -493,6 +495,31 @@ TEST(Checkpoint, ResumeRejectsMismatchedSeed) {
   ASSERT_FALSE(result.status.is_ok());
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidTrace);
   EXPECT_FALSE(result.best.valid());
+}
+
+TEST(Checkpoint, ResumeRejectsCorruptedStreamHash) {
+  const std::string ckpt = testing::TempDir() + "/abg_stream_hash_ckpt.json";
+  (void)interrupted_run_checkpoint(ckpt);
+  auto ck = load_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  auto held = std::find_if(ck->buckets.begin(), ck->buckets.end(),
+                           [](const BucketCheckpoint& b) { return b.sketches > 0; });
+  ASSERT_NE(held, ck->buckets.end());
+  EXPECT_NE(held->stream_hash, 0u);
+  held->stream_hash ^= 1;
+  ASSERT_TRUE(save_checkpoint(*ck, ckpt).is_ok());
+
+  SynthesisOptions opts = quick_opts();
+  opts.checkpoint_path = ckpt;
+  opts.resume = true;
+  auto result = synthesize(dsl::reno_dsl(), reno_segments(), opts);
+  EXPECT_EQ(result.status.code(), StatusCode::kParseError) << result.status.to_string();
+  EXPECT_NE(result.status.message().find("stream hash"), std::string::npos)
+      << result.status.to_string();
+  EXPECT_NE(result.status.message().find(held->label), std::string::npos)
+      << result.status.to_string();
+  EXPECT_FALSE(result.best.valid());
+  std::remove(ckpt.c_str());
 }
 
 TEST(Checkpoint, ResumeWithoutFileStartsFresh) {

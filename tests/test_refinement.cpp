@@ -206,6 +206,36 @@ TEST(BucketLifecycle, DivergentHeldSketchIsAClassifiedError) {
   EXPECT_EQ(st.sketches.size(), 8u);
 }
 
+TEST(BucketLifecycle, RestoreChecksTheStreamHash) {
+  const auto reno = dsl::reno_dsl();
+  const SynthesisOptions opts = quick_opts();
+  const auto never = [] { return false; };
+  BucketSearchState st = bucket_state(reno, "{+,*}", opts);
+  ASSERT_TRUE(enumerate_bucket_sketches(reno, opts, st, 8, never).is_ok());
+  const BucketCheckpoint ck = bucket_state_to_checkpoint(st);
+  EXPECT_EQ(ck.stream_hash, sketch_stream_hash(st.sketches));
+  EXPECT_NE(ck.stream_hash, 0u);
+
+  BucketSearchState restored = bucket_state(reno, "{+,*}", opts);
+  ASSERT_TRUE(bucket_state_from_checkpoint(reno, opts, ck, &restored).is_ok());
+  ASSERT_EQ(restored.sketches.size(), 8u);
+  // Taken from the stream st still leases: the same objects.
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(restored.sketches[i], st.sketches[i]) << i;
+
+  BucketCheckpoint corrupt = ck;
+  corrupt.stream_hash ^= 1ull << 63;
+  const auto status = bucket_state_from_checkpoint(reno, opts, corrupt, &restored);
+  EXPECT_EQ(status.code(), util::StatusCode::kParseError) << status.to_string();
+  EXPECT_NE(status.message().find("stream hash"), std::string::npos) << status.to_string();
+  // A bucket with no sketches records the empty stream's hash, 0.
+  BucketCheckpoint empty = ck;
+  empty.sketches = 0;
+  EXPECT_EQ(bucket_state_from_checkpoint(reno, opts, empty, &restored).code(),
+            util::StatusCode::kParseError);
+  empty.stream_hash = 0;
+  EXPECT_TRUE(bucket_state_from_checkpoint(reno, opts, empty, &restored).is_ok());
+}
+
 TEST(BucketLifecycle, OnlySizeFeasibleBucketsBuildZ3AndNoneOutliveTheRun) {
   // bench_sec61's quick-scale bounds: 18 of the 128 reno buckets fit in 7
   // nodes.

@@ -2,12 +2,13 @@
 //
 //   abagnale_worker [--port P] [--port-file FILE] [--metrics-out FILE]
 //
-// Serves the /shard/* worker protocol (see src/dist/worker.hpp) plus
-// /healthz and /metrics on 127.0.0.1:PORT (default: an ephemeral port).
+// Serves the /v1/shard/* worker protocol (see src/dist/worker.hpp) plus
+// /v1/healthz and /v1/metrics on 127.0.0.1:PORT (default: an ephemeral
+// port); the unversioned spellings are deprecated aliases.
 // With --port-file the actually-bound port is written there once listening,
 // so a spawner (abagnale_serve --workers N) can discover it race-free.
 //
-// The process exits on POST /shard/quit or SIGTERM/SIGINT; a worker holds
+// The process exits on POST /v1/shard/quit or SIGTERM/SIGINT; a worker holds
 // no durable state (the coordinator owns checkpoints), so any exit path —
 // including kill -9, which the dist-smoke CI job inflicts on purpose — only
 // costs the in-flight pass, which the coordinator replays elsewhere.
