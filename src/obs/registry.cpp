@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -96,6 +98,32 @@ T& find_series(std::map<SeriesKey, std::unique_ptr<T>>& m, const std::string& na
   auto& slot = m[SeriesKey{name, std::move(labels)}];
   slot = make();
   return *slot;
+}
+
+// Sets process.rss_mb and process.peak_rss_mb from /proc/self/status
+// (VmRSS, VmHWM), so every export carries the process's memory as of the
+// export. Where that file does not exist the gauges are never registered.
+void sample_process_memory() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return;
+  static Gauge& rss = gauge("process.rss_mb");
+  static Gauge& peak = gauge("process.peak_rss_mb");
+  static const bool described = [] {
+    describe("process.rss_mb", "resident set size (VmRSS), MB");
+    describe("process.peak_rss_mb", "peak resident set size (VmHWM), MB");
+    return true;
+  }();
+  (void)described;
+  char line[256];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    long kb = 0;
+    if (std::strncmp(line, "VmRSS:", 6) == 0 && std::sscanf(line + 6, "%ld", &kb) == 1) {
+      rss.set(static_cast<double>(kb) / 1024.0);
+    } else if (std::strncmp(line, "VmHWM:", 6) == 0 && std::sscanf(line + 6, "%ld", &kb) == 1) {
+      peak.set(static_cast<double>(kb) / 1024.0);
+    }
+  }
+  std::fclose(f);
 }
 
 }  // namespace
@@ -236,6 +264,7 @@ Snapshot snapshot() {
     }();
     (void)overflow;
   }
+  sample_process_memory();
   auto& r = registry();
   std::lock_guard lk(r.mu);
   Snapshot s;

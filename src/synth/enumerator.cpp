@@ -2,9 +2,14 @@
 
 #include <z3++.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <compare>
 #include <map>
+#include <mutex>
 #include <unordered_set>
 
 #include "dsl/simplify.hpp"
@@ -36,9 +41,10 @@ struct ProdIds {
 };
 
 // The Z3 encoding of one (sub-)space: context, solver and the per-node
-// variables with every structural constraint asserted. Building one costs
-// ~15 MB and ~17 ms, and so does destroying it, so an enumerator holds one
-// only while its space can still yield a sketch.
+// variables with every structural constraint asserted. Its context alone
+// mallocs 16.8 MB (two 8.5 MB blocks); building one takes 6.5-12 ms and
+// destroying it about 11 ms, so an enumerator holds one only while its space
+// can still yield a sketch.
 struct Encoding {
   const dsl::Dsl& dsl;
   const EnumeratorOptions& opts;
@@ -349,6 +355,30 @@ struct Encoding {
   }
 };
 
+// synth.producers_live: Z3 encodings alive in the process. The count and
+// the gauge change under one lock so the gauge never shows a stale value.
+// When the last one is torn down the process has no Z3 state left, and the
+// free memory its small allocations leave in the pool threads' arenas goes
+// back to the OS too (about 45 MB after a serve-smoke job; 5-13 ms, once per
+// idle, where trimming after every teardown would cost that per producer).
+void count_live_producers(int delta) {
+  static auto& g_live = obs::gauge("synth.producers_live");
+  // Leaked, like the stream registry: a lease may drop during static
+  // destruction.
+  static auto* mu = new std::mutex;
+  static int live = 0;
+  bool idle = false;
+  {
+    std::lock_guard lk(*mu);
+    live += delta;
+    g_live.set(live);
+    idle = live == 0;
+  }
+#if defined(__GLIBC__)
+  if (idle) malloc_trim(0);
+#endif
+}
+
 }  // namespace
 
 struct SketchEnumerator::Impl {
@@ -388,16 +418,33 @@ struct SketchEnumerator::Impl {
       exhausted = true;
       return;
     }
+#if defined(__GLIBC__)
+    // Fixes glibc's mmap threshold at 1 MiB, once per process and before the
+    // first context is built (mallopt is process-wide). By default glibc
+    // raises the threshold to the size of the first mmapped block it frees,
+    // so after the first teardown every later context's 8.5 MB blocks come
+    // from the pool threads' arenas, where freed contexts stay resident and
+    // fragment. A fixed threshold turns that adjustment off: each context
+    // maps its own blocks and unmaps them at teardown, so RSS tracks the
+    // live producers. Any value below 8.5 MB does; 1 MiB leaves the small
+    // allocations of scoring and replay on the heap.
+    static const bool mmap_threshold_fixed = mallopt(M_MMAP_THRESHOLD, 1 << 20) == 1;
+    (void)mmap_threshold_fixed;
+#endif
     obs::Timer t(h_build);
     enc = std::make_unique<Encoding>(dsl, opts, opts.max_depth.value_or(dsl.max_depth), max_nodes);
     c_built.add();
+    count_live_producers(+1);
   }
 
   ~Impl() {
     static auto& h_teardown = obs::histogram("synth.enum_teardown_us");
     if (!enc) return;
-    obs::Timer t(h_teardown);
-    enc.reset();
+    {
+      obs::Timer t(h_teardown);
+      enc.reset();
+    }
+    count_live_producers(-1);
   }
 
   std::optional<dsl::ExprPtr> next() {

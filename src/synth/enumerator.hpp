@@ -39,7 +39,8 @@ struct EnumeratorOptions {
 
 // Building the Z3 encoding is counted in "synth.enumerators_built" and timed
 // in "synth.enum_build_us"; each solver check is timed in "synth.solve_us",
-// and destroying the encoding in "synth.enum_teardown_us". A bucket whose
+// and destroying the encoding in "synth.enum_teardown_us". The gauge
+// "synth.producers_live" counts the encodings alive. A bucket whose
 // operator set needs more than max_nodes nodes gets no encoding at all: it is
 // exhausted() from construction, with zero models.
 class SketchEnumerator {

@@ -265,6 +265,34 @@ std::optional<std::pair<std::size_t, std::size_t>> SynthesisResult::bucket_rank(
   return std::nullopt;
 }
 
+ScoredHandler validate_candidates(const std::vector<ScoredHandler>& candidates,
+                                  const std::vector<trace::Segment>& validation,
+                                  const SynthesisOptions& opts, std::size_t* validated) {
+  // The running winner's distance is the abandon bound: a candidate cut off
+  // there can never beat it, so the winner is the first candidate with the
+  // minimum distance, exactly as without the bound.
+  std::vector<std::pair<std::size_t, const dsl::Expr*>> seen;  // (hash, handler)
+  ScoredHandler winner;
+  for (const auto& c : candidates) {
+    const std::size_t h = dsl::hash_expr(*c.handler);
+    if (std::any_of(seen.begin(), seen.end(), [&](const auto& s) {
+          return s.first == h && dsl::equal(*s.second, *c.handler);
+        })) {
+      continue;
+    }
+    seen.emplace_back(h, c.handler.get());
+    const double cutoff =
+        opts.early_abandon ? winner.distance : std::numeric_limits<double>::infinity();
+    const double d = total_distance(*c.handler, validation, opts.metric, opts.dopts, {}, cutoff);
+    if (d < winner.distance) {
+      winner = c;
+      winner.distance = d;
+    }
+  }
+  *validated = seen.size();
+  return winner;
+}
+
 SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
                                const SynthesisOptions& opts_in, PassExecutor& exec) {
   util::Stopwatch total_clock;
@@ -605,26 +633,10 @@ SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Seg
     sampler.grow_to(opts.final_validation_segments);
     std::vector<trace::Segment> validation;
     for (std::size_t idx : sampler.selected()) validation.push_back(segments[idx]);
-    // Each distinct handler once, in candidate order. The running winner's
-    // distance is the abandon bound: a candidate cut off there can never
-    // beat it, so the winner is the first candidate with the minimum
-    // distance, exactly as without the bound.
-    std::vector<std::size_t> hashes;
-    ScoredHandler winner;
-    for (const auto& c : candidates) {
-      const std::size_t h = dsl::hash_expr(*c.handler);
-      if (std::find(hashes.begin(), hashes.end(), h) != hashes.end()) continue;
-      hashes.push_back(h);
-      const double cutoff =
-          opts.early_abandon ? winner.distance : std::numeric_limits<double>::infinity();
-      const double d = total_distance(*c.handler, validation, opts.metric, opts.dopts, {}, cutoff);
-      if (d < winner.distance) {
-        winner = c;
-        winner.distance = d;
-      }
-    }
-    result.candidates_validated = hashes.size();
-    c_validated.add(hashes.size());
+    std::size_t validated = 0;
+    const ScoredHandler winner = validate_candidates(candidates, validation, opts, &validated);
+    result.candidates_validated = validated;
+    c_validated.add(validated);
     if (winner.valid()) result.best = winner;
   }
 

@@ -247,6 +247,15 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
                            std::size_t* handlers_scored = nullptr,
                            EvalContext* ctx = nullptr);
 
+// Final validation (§3.2): scores each distinct candidate handler once, in
+// candidate order, on `validation`, and returns the first candidate with the
+// minimum distance (invalid if there is none). Two handlers are the same
+// only if dsl::equal; equal hash_expr values merely bucket them. *validated
+// counts the distinct handlers scored.
+ScoredHandler validate_candidates(const std::vector<ScoredHandler>& candidates,
+                                  const std::vector<trace::Segment>& validation,
+                                  const SynthesisOptions& opts, std::size_t* validated);
+
 // Run the full refinement loop over the DSL and segment pool: the one
 // driver (run_refinement, synth/shard.hpp) over an in-process ShardEngine.
 SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,

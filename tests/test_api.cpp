@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "abg/abagnale.hpp"
 #include "net/simulator.hpp"
 #include "obs/registry.hpp"
@@ -771,6 +773,83 @@ TEST(SketchStream, ConcurrentJobsMatchSoloRunsWithOneProducerPerSpec) {
   EXPECT_EQ(shared.value() - shared0, solo[0].pipeline.synthesis.total_sketches);
   holder.clear();
   EXPECT_EQ(live.last(), live0);
+}
+
+// --- Memory: an idle Engine holds none of its finished jobs' Z3 memory. -----
+
+// ASan and TSan replace malloc (freed blocks sit in quarantine), so neither
+// glibc's mmap threshold nor the process's RSS says anything about ours there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ABG_TEST_SANITIZER_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ABG_TEST_SANITIZER_MALLOC 1
+#endif
+#endif
+
+double process_rss_mb() {
+  (void)obs::snapshot();  // samples process.rss_mb
+  return obs::gauge("process.rss_mb").last();
+}
+
+// The serve-smoke job (the served and dist3 benchmark job) 8 times, one after
+// another, on one 3-thread Engine. Each job builds 11 Z3 producers of about
+// 17 MB; under glibc's dynamic mmap threshold the torn-down ones stayed
+// resident in the pool threads' arenas, 150-230 MB after 8 jobs. Between
+// jobs no producer is live, so the enumerator also trims the arenas; then 4
+// more jobs run beside a held producer of another spec, so that trim never
+// runs, and each job's producers must give their contexts back on their own
+// (without the fixed mmap threshold RSS rose by 200-275 MB there).
+TEST(Memory, IdleRssReturnsAfterEachJob) {
+#if defined(ABG_TEST_SANITIZER_MALLOC)
+  GTEST_SKIP() << "the sanitizer's allocator replaces glibc malloc and quarantines frees";
+#elif !defined(__GLIBC__)
+  GTEST_SKIP() << "the enumerator fixes the mmap threshold on glibc only";
+#else
+  trace::Environment env;
+  env.bandwidth_bps = 10e6;
+  env.rtt_s = 0.040;
+  env.duration_s = 8.0;
+  const std::string csv =
+      testing::TempDir() + "abg_memory_served_" + std::to_string(::getpid()) + ".csv";
+  ASSERT_TRUE(trace::save_csv(net::run_connection("reno", env), csv).is_ok());
+  auto spec = api::parse_job_spec(
+      "{\"traces\": [\"" + csv + "\"], \"dsl\": \"reno\", \"timeout_s\": 300, "
+      "\"max_iterations\": 3, \"initial_samples\": 6, \"concretize_budget\": 12, "
+      "\"max_depth\": 3, \"max_nodes\": 5, \"max_holes\": 2, \"seed\": 5}");
+  ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+
+  auto& producers = obs::gauge("synth.producers_live");
+  api::Engine engine({.threads = 3, .max_concurrent_jobs = 1});
+  const double before = process_rss_mb();
+  for (int job = 0; job < 8; ++job) {
+    auto h = engine.submit(*spec);
+    ASSERT_TRUE(h.ok()) << h.status().to_string();
+    const auto r = h->wait();
+    ASSERT_TRUE(r.ok()) << r.status.to_string();
+    EXPECT_EQ(producers.last(), 0.0) << "job " << job;
+    const double rss = process_rss_mb();
+    EXPECT_LE(rss - before, 48.0) << "job " << job << ": " << before << " -> " << rss << " MB";
+  }
+
+  synth::EnumeratorOptions small;
+  small.max_depth = 2;
+  small.max_nodes = 3;
+  synth::SketchEnumerator held(dsl::reno_dsl(), small);
+  ASSERT_TRUE(held.next().has_value());
+  const double with_held = process_rss_mb();
+  for (int job = 0; job < 4; ++job) {
+    auto h = engine.submit(*spec);
+    ASSERT_TRUE(h.ok()) << h.status().to_string();
+    const auto r = h->wait();
+    ASSERT_TRUE(r.ok()) << r.status.to_string();
+    EXPECT_EQ(producers.last(), 1.0) << "held, job " << job;
+    const double rss = process_rss_mb();
+    EXPECT_LE(rss - with_held, 96.0)
+        << "held, job " << job << ": " << with_held << " -> " << rss << " MB";
+  }
+  std::remove(csv.c_str());
+#endif
 }
 
 }  // namespace

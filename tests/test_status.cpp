@@ -423,6 +423,17 @@ TEST(StatusServerTest, ServesHealthMetricsAndCustomRoutes) {
   const PromDoc doc = parse_prometheus(body_of(metrics));
   EXPECT_TRUE(doc.errors.empty()) << (doc.errors.empty() ? "" : doc.errors.front());
   EXPECT_TRUE(doc.types.count("abg_status_server_hits"));
+#if defined(__linux__)
+  // Every export samples the process's memory from /proc (the daemon's and
+  // each worker's /v1/metrics).
+  double rss = 0.0, peak = 0.0;
+  for (const auto& smp : doc.samples) {
+    if (smp.family == "abg_process_rss_mb") rss = std::stod(smp.value);
+    if (smp.family == "abg_process_peak_rss_mb") peak = std::stod(smp.value);
+  }
+  EXPECT_GT(rss, 0.0);
+  EXPECT_GE(peak, rss);
+#endif
 
   // A query string must not defeat route matching.
   const std::string jobs = http_get(server.port(), "/jobs?pretty=1");

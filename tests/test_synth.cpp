@@ -4,11 +4,13 @@
 #include <set>
 
 #include "dsl/known_handlers.hpp"
+#include "dsl/parse.hpp"
 #include "dsl/simplify.hpp"
 #include "dsl/units.hpp"
 #include "net/simulator.hpp"
 #include "synth/buckets.hpp"
 #include "synth/concretize.hpp"
+#include "synth/refinement.hpp"
 #include "synth/replay.hpp"
 
 namespace abg::synth {
@@ -112,6 +114,37 @@ TEST(Replay, GroundTruthHandlerBeatsWrongFamilyOnRealTraces) {
   auto flat = dsl::mul(dsl::constant(50.0), dsl::sig(dsl::Signal::kMss));
   EXPECT_LT(total_distance(reno, segs, distance::Metric::kDtw),
             total_distance(*flat, segs, distance::Metric::kDtw));
+}
+
+// hash_expr collides on sibling-swapped signals (ROADMAP's measured pairs);
+// final validation must still score both handlers of such a pair, and only
+// merge handlers that are equal trees.
+TEST(FinalValidation, HashCollidingHandlersAreBothValidated) {
+  auto parsed = [](const char* text) {
+    auto r = dsl::parse(text);
+    EXPECT_TRUE(r) << text << ": " << r.error;
+    return r.expr;
+  };
+  ScoredHandler worse, better, repeat;
+  worse.handler = parsed("(mss + reno-inc) + (cwnd * 0.5)");
+  better.handler = parsed("(mss + cwnd) + (reno-inc * 0.5)");
+  repeat.handler = parsed("(mss + reno-inc) + (cwnd * 0.5)");
+  ASSERT_TRUE(worse.valid() && better.valid() && repeat.valid());
+  ASSERT_EQ(dsl::hash_expr(*worse.handler), dsl::hash_expr(*better.handler));
+  ASSERT_FALSE(dsl::equal(*worse.handler, *better.handler));
+
+  const std::vector<trace::Segment> validation{make_segment(40), make_segment(30)};
+  SynthesisOptions opts;
+  const double d_worse = total_distance(*worse.handler, validation, opts.metric, opts.dopts);
+  const double d_better = total_distance(*better.handler, validation, opts.metric, opts.dopts);
+  ASSERT_LT(d_better, d_worse);
+
+  std::size_t validated = 0;
+  const auto winner = validate_candidates({worse, better, repeat}, validation, opts, &validated);
+  EXPECT_EQ(validated, 2u);  // the repeat is the same tree as `worse`
+  ASSERT_TRUE(winner.valid());
+  EXPECT_TRUE(dsl::equal(*winner.handler, *better.handler)) << dsl::to_string(*winner.handler);
+  EXPECT_EQ(winner.distance, d_better);
 }
 
 TEST(Concretize, NoHolesYieldsOneEmptyAssignment) {
