@@ -16,6 +16,7 @@
 #include "dsl/units.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
+#include "synth/sketch_space.hpp"
 
 namespace abg::synth {
 
@@ -355,6 +356,25 @@ struct Encoding {
   }
 };
 
+// Candidate trees the native count may examine per Z3 model the stream has
+// drawn. One model costs 1-3 ms of solving at §6.1's bounds and a candidate
+// 0.1-0.3 us, so counting costs at most about 1% of the Z3 work before it,
+// against Z3's exhaustion tail (a third of the {+,*} bucket's solving).
+constexpr std::size_t kCountWorkPerModel = 64;
+
+// The native count's ledger, registered together with the first producer so
+// that every export lists all three.
+struct CountLedger {
+  obs::Counter& ended = obs::counter("synth.streams_ended_by_count");
+  obs::Counter& mismatch = obs::counter("synth.native_count_mismatch");
+  obs::Histogram& us = obs::histogram("synth.native_count_us");
+};
+
+const CountLedger& count_ledger() {
+  static const CountLedger ledger;
+  return ledger;
+}
+
 // synth.producers_live: Z3 encodings alive in the process. The count and
 // the gauge change under one lock so the gauge never shows a stale value.
 // When the last one is torn down the process has no Z3 state left, and the
@@ -395,25 +415,23 @@ struct SketchEnumerator::Impl {
   // loop samples the first N of a bucket, and small expressions are both the
   // likeliest true handlers and the cheapest to score. The size target is
   // passed as a per-check assumption so blocking clauses stay permanent.
+  // Starting at min_feasible_size avoids grinding UNSAT proofs at impossible
+  // sizes, and buckets whose bound exceeds max_nodes are empty outright: they
+  // get no Z3 state at all.
   int current_size = 1;
 
-  // A sketch using *exactly* the operator set B needs at least
-  // 1 + sum(arity(o)) nodes: >= |B| internal nodes, and a tree with those
-  // internal nodes has 1 + sum(arity - 1) leaves. Starting at this bound
-  // avoids grinding UNSAT proofs at impossible sizes, and buckets whose
-  // bound exceeds max_nodes are empty outright: they get no Z3 state at all.
-  int min_feasible_size() const {
-    if (!opts.bucket) return 1;
-    int bound = 1;
-    for (dsl::Op o : *opts.bucket) bound += dsl::op_arity(o);
-    return bound;
-  }
+  // The native count of the space (sketch_space.hpp): once it is finished
+  // and `emitted` reaches it, the stream ends without Z3 proving the rest of
+  // the space empty. Null when the space is empty by size alone, and after a
+  // mismatch.
+  std::unique_ptr<SketchSpace> count;
+  std::size_t count_step_at = 0;  // `emitted` at which counting advances next
 
   Impl(const dsl::Dsl& d, EnumeratorOptions o) : dsl(d), opts(std::move(o)) {
     static auto& c_built = obs::counter("synth.enumerators_built");
     static auto& h_build = obs::histogram("synth.enum_build_us");
     max_nodes = opts.max_nodes.value_or(dsl.max_nodes);
-    current_size = min_feasible_size();
+    current_size = min_feasible_size(opts);
     if (current_size > max_nodes) {
       exhausted = true;
       return;
@@ -435,6 +453,8 @@ struct SketchEnumerator::Impl {
     enc = std::make_unique<Encoding>(dsl, opts, opts.max_depth.value_or(dsl.max_depth), max_nodes);
     c_built.add();
     count_live_producers(+1);
+    count = std::make_unique<SketchSpace>(dsl, opts);
+    count_ledger();
   }
 
   ~Impl() {
@@ -447,11 +467,46 @@ struct SketchEnumerator::Impl {
     count_live_producers(-1);
   }
 
+  // A count that misses a sketch Z3 emitted is not the space's: it stops
+  // for good, and the stream ends where Z3 ends it.
+  void count_missed() {
+    count_ledger().mismatch.add();
+    count.reset();
+  }
+
+  // True when the native count shows that every sketch of the space has been
+  // emitted. Counting advances only when `emitted` reaches a step that
+  // doubles each time, and then only up to kCountWorkPerModel candidate trees
+  // per Z3 model drawn so far: its work grows with the stream, and stays far
+  // below the Z3 work it can save. When Z3 ends the stream first, the count
+  // is simply never finished.
+  bool count_reached() {
+    if (!count) return false;
+    if (!count->finished() && emitted >= count_step_at) {
+      obs::Timer t(count_ledger().us);
+      count_step_at = std::max<std::size_t>(2 * emitted, 1);
+      if (count->advance(kCountWorkPerModel * std::max<std::size_t>(models, 1))) {
+        for (const std::size_t h : seen_hashes) {
+          if (!count->contains(h)) {
+            count_missed();
+            return false;
+          }
+        }
+      }
+    }
+    return count->finished() && emitted == count->distinct();
+  }
+
   std::optional<dsl::ExprPtr> next() {
     static auto& c_models = obs::counter("synth.solver_models");
     static auto& c_emitted = obs::counter("synth.sketches_emitted");
     static auto& h_solve = obs::histogram("synth.solve_us");
     while (!exhausted) {
+      if (count_reached()) {
+        exhausted = true;
+        count_ledger().ended.add();
+        return std::nullopt;
+      }
       // Smallest-first: exhaust all size-k sketches before size k+1.
       z3::expr_vector assumptions(enc->ctx);
       assumptions.push_back(enc->size_assumption(current_size));
@@ -477,7 +532,9 @@ struct SketchEnumerator::Impl {
       // the paper's sympy-based non-simplifiability check).
       if (dsl::is_simplifiable(*sketch)) continue;
       const auto canon = dsl::canonicalize(sketch);
-      if (!seen_hashes.insert(dsl::hash_expr(*canon)).second) continue;
+      const std::size_t hash = dsl::hash_expr(*canon);
+      if (!seen_hashes.insert(hash).second) continue;
+      if (count && count->finished() && !count->contains(hash)) count_missed();
       ++emitted;
       c_emitted.add();
       return canon;

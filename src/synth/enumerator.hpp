@@ -42,7 +42,13 @@ struct EnumeratorOptions {
 // and destroying the encoding in "synth.enum_teardown_us". The gauge
 // "synth.producers_live" counts the encodings alive. A bucket whose
 // operator set needs more than max_nodes nodes gets no encoding at all: it is
-// exhausted() from construction, with zero models.
+// exhausted() from construction, with zero models. Every encoding comes with
+// a native count of its space (sketch_space.hpp): once the stream has emitted
+// that many sketches it ends with no further Z3 check, where Z3 alone would
+// still have to prove the rest of the space empty. The counter
+// "synth.streams_ended_by_count" counts those ends, "synth.native_count_us"
+// times the counting, and "synth.native_count_mismatch" counts streams whose
+// count missed a sketch Z3 emitted (the count is then dropped).
 class SketchEnumerator {
  public:
   SketchEnumerator(const dsl::Dsl& dsl, EnumeratorOptions opts = {});

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "dsl/dsl.hpp"
@@ -8,6 +9,7 @@
 #include "obs/registry.hpp"
 #include "synth/buckets.hpp"
 #include "synth/enumerator.hpp"
+#include "synth/sketch_space.hpp"
 
 namespace abg::synth {
 namespace {
@@ -105,8 +107,9 @@ TEST(Enumerator, ExhaustsTinySpaces) {
 }
 
 TEST(Enumerator, MatchesReferenceEnumerationOnTinyDsl) {
-  // Cross-check the SMT enumeration against a hand-rolled recursive
-  // reference for a two-signal, two-op DSL at depth 2.
+  // Cross-check the SMT enumeration against the native generator of the
+  // same space (synth/sketch_space.hpp) for a two-signal, two-op DSL at
+  // depth 2.
   dsl::Dsl tiny = dsl::reno_dsl();
   tiny.signals = {dsl::Signal::kCwnd, dsl::Signal::kMss};
   tiny.ops = {dsl::Op::kAdd, dsl::Op::kSub};
@@ -116,24 +119,15 @@ TEST(Enumerator, MatchesReferenceEnumerationOnTinyDsl) {
   o.max_nodes = 3;
   auto got = enumerate_all(tiny, o, 1000);
 
-  // Reference: leaves and all binary combinations that survive the filters.
   std::set<std::size_t> expected;
-  std::vector<dsl::ExprPtr> leaves = {dsl::sig(dsl::Signal::kCwnd),
-                                      dsl::sig(dsl::Signal::kMss)};
-  for (const auto& l : leaves) expected.insert(dsl::hash_expr(*dsl::canonicalize(l)));
-  for (const auto& a : leaves) {
-    for (const auto& b : leaves) {
-      for (auto op : {dsl::Op::kAdd, dsl::Op::kSub}) {
-        auto e = dsl::node(op, {a, b});
-        if (dsl::is_simplifiable(*e)) continue;
-        if (!dsl::unit_check(*e)) continue;
-        expected.insert(dsl::hash_expr(*dsl::canonicalize(e)));
-      }
-    }
-  }
+  SketchSpace space(tiny, o);
+  ASSERT_TRUE(space.advance(SIZE_MAX, [&](const dsl::ExprPtr& s) {
+    expected.insert(dsl::hash_expr(*s));
+  }));
   std::set<std::size_t> got_hashes;
   for (const auto& s : got) got_hashes.insert(dsl::hash_expr(*dsl::canonicalize(s)));
   EXPECT_EQ(got_hashes, expected);
+  EXPECT_EQ(expected.size(), 5u);  // cwnd, mss, cwnd + mss, cwnd - mss, mss - cwnd
 }
 
 TEST(Enumerator, BucketConstraintForcesExactOpUsage) {
