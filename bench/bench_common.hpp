@@ -102,14 +102,6 @@ inline synth::SynthesisOptions synth_opts(double per_cca_timeout_s) {
   }
   o.initial_keep = 5;
   o.seed = 7;
-  // ABG_NO_FAST_PATH=1 runs the reference configuration (no memo cache, no
-  // early abandoning) so one binary can measure both sides of the fast-path
-  // speedup. Results are bit-identical either way (tests/test_fast_path.cpp,
-  // tests/test_data_parallel.cpp).
-  if (std::getenv("ABG_NO_FAST_PATH") != nullptr) {
-    o.use_eval_cache = false;
-    o.early_abandon = false;
-  }
   return o;
 }
 

@@ -43,9 +43,9 @@ void BM_Dtw(benchmark::State& state) {
 }
 BENCHMARK(BM_Dtw)->Range(64, 1024)->Complexity(benchmark::oNSquared);
 
-// The same DP with the kernel pinned per arg (0=scalar, 1=sse2, 2=avx2), so
-// the scalar-vs-SIMD speedup table falls straight out of one bench run.
-// Tiers the host cannot execute are skipped, not silently downgraded.
+// The same DP with the kernel pinned per arg (0=scalar, 2=avx2), so the
+// scalar-vs-SIMD speedup table falls straight out of one bench run.
+// A kernel the host cannot execute is skipped, not silently downgraded.
 void BM_DtwKernel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto simd = static_cast<distance::Simd>(state.range(1));
@@ -59,7 +59,7 @@ void BM_DtwKernel(benchmark::State& state) {
   }
   state.SetLabel(distance::simd_name(simd));
 }
-BENCHMARK(BM_DtwKernel)->ArgsProduct({{256, 1024}, {0, 1, 2}});
+BENCHMARK(BM_DtwKernel)->ArgsProduct({{256, 1024}, {0, 2}});
 
 void BM_DtwBanded(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

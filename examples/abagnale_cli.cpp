@@ -47,7 +47,6 @@
 #include "api/manifest.hpp"
 #include "classify/classifier.hpp"
 #include "core/abagnale.hpp"
-#include "distance/simd.hpp"
 #include "dsl/known_handlers.hpp"
 #include "net/simulator.hpp"
 #include "obs/journal.hpp"
@@ -73,7 +72,6 @@ int usage() {
                "  abagnale_cli collect <cca> <out.csv> [bw_mbps rtt_ms dur_s loss xt_mbps]\n"
                "  abagnale_cli classify <trace.csv>...\n"
                "  abagnale_cli synthesize [--dsl <name>] [--timeout <s>] [--no-fast-path]\n"
-               "                [--simd <scalar|sse2|avx2|auto>]\n"
                "                [--checkpoint <state>] [--resume] <trace.csv>...\n"
                "  abagnale_cli match <cca> <trace.csv>...\n"
                "  abagnale_cli --batch <manifest.json>   (multi-job sweep, api::Engine)\n"
@@ -245,17 +243,6 @@ int cmd_synthesize(int argc, char** argv) {
       w.key("checkpoint");
       w.value(std::string_view(argv[first + 1]));
       has_checkpoint = true;
-    } else if (std::strcmp(argv[first], "--simd") == 0) {
-      // Pin the DTW kernel tier for this run; wins over ABG_SIMD. The
-      // default (auto) picks the best tier the CPU supports. Validated here
-      // so a typo reports the flag, not a JSON key.
-      if (!distance::parse_simd(argv[first + 1])) {
-        std::fprintf(stderr, "--simd must be scalar/sse2/avx2/auto, got '%s'\n",
-                     argv[first + 1]);
-        return usage();
-      }
-      w.key("simd");
-      w.value(std::string_view(argv[first + 1]));
     } else {
       return usage();
     }

@@ -13,13 +13,13 @@
 set -uo pipefail
 cd /root/repo
 
-# DTW kernel tier for this recorded run. The caller's ABG_SIMD is honored by
-# every stage below (the binaries resolve it themselves); the resolved kernel
+# DTW kernel for this recorded run (scalar|avx2|auto). The caller's ABG_SIMD is
+# honored by every stage below (the binaries resolve it themselves); the kernel
 # is stamped into each run's metrics report ("meta" -> "simd_kernel"), so the
 # recorded outputs are never silently cross-kernel. Only the perf-report
 # stage pins scalar, because the committed baseline was recorded on the
 # scalar oracle.
-echo "ABG_SIMD=${ABG_SIMD:-auto} (DTW kernel tier; see src/distance/simd.hpp)"
+echo "ABG_SIMD=${ABG_SIMD:-auto} (DTW kernel; see src/distance/simd.hpp)"
 
 # Map the abagnale_cli/status.hpp exit codes to their error classes.
 decode_exit_class() {

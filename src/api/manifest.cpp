@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "distance/simd.hpp"
 #include "obs/json.hpp"
 #include "util/csv.hpp"
 #include "util/json_parse.hpp"
@@ -65,7 +64,7 @@ const std::set<std::string>& known_job_keys() {
       "concretize_budget", "max_depth",  "max_nodes",
       "max_holes",     "warmup_s",       "min_segment_samples",
       "fast_path",     "repair_traces",  "checkpoint",
-      "resume",        "journal",        "simd",
+      "resume",        "journal",
       // Search-shape knobs the distributed worker protocol must carry so a
       // shard searches exactly what the submitting process would (ISSUE 9).
       "initial_keep",  "initial_segments", "final_validation_segments",
@@ -191,19 +190,6 @@ util::Status spec_from_json(const util::JsonValue& j, JobSpec* spec) {
   synth.use_eval_cache = fast_path;
   synth.early_abandon = fast_path;
 
-  // "simd": pin this job's DTW kernel tier ("scalar"/"sse2"/"avx2"/"auto").
-  // Default auto defers to ABG_SIMD and CPU detection; an unknown name is a
-  // manifest error, not a silent fallback.
-  std::string simd_name;
-  if (auto st = read_string(j, "simd", &simd_name); !st.is_ok()) return st;
-  if (!simd_name.empty()) {
-    const auto parsed = distance::parse_simd(simd_name);
-    if (!parsed) {
-      return bad("'simd' must be one of scalar/sse2/avx2/auto, got '" + simd_name + "'");
-    }
-    synth.simd = *parsed;
-  }
-
   if (auto st = read_bool(j, "repair_traces", &spec->load.repair); !st.is_ok()) return st;
   if (auto st = read_string(j, "checkpoint", &synth.checkpoint_path); !st.is_ok()) return st;
   if (auto st = read_bool(j, "resume", &synth.resume); !st.is_ok()) return st;
@@ -288,10 +274,6 @@ std::string spec_to_json(const JobSpec& spec) {
   w.value(static_cast<std::uint64_t>(spec.pipeline.min_segment_samples));
   w.key("fast_path");
   w.value(synth.use_eval_cache && synth.early_abandon);
-  if (synth.simd != distance::Simd::kAuto) {
-    w.key("simd");
-    w.value(distance::simd_name(synth.simd));
-  }
   w.key("repair_traces");
   w.value(spec.load.repair);
   if (!synth.checkpoint_path.empty()) {

@@ -22,7 +22,6 @@
 //         "fast_path": true, "repair_traces": false,
 //         "checkpoint": "state.bin", "resume": false,
 //         "journal": true,          // participate in --journal-out recording
-//         "simd": "auto",           // scalar | sse2 | avx2 | auto
 //         "initial_keep": 4, "initial_segments": 2,
 //         "final_validation_segments": 0, "sample_growth": 2,
 //         "exhaustive_cap": 20000, "unit_check": true
@@ -31,7 +30,8 @@
 //   }
 //
 // Unknown keys are rejected (a typoed budget silently using the default is
-// exactly the kind of sweep bug a manifest exists to prevent).
+// exactly the kind of sweep bug a manifest exists to prevent). That includes
+// "simd": the DTW kernel is a property of the process (ABG_SIMD), not of a job.
 #pragma once
 
 #include <string>

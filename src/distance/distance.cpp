@@ -38,7 +38,7 @@ DtwCounters& dtw_counters() {
   return *c;
 }
 
-// Per-kernel labeled provenance: which kernel did the DP work. Indexed by the
+// Per-kernel labeled provenance: which kernel did the DP work. Keyed by the
 // resolved Simd value (never kAuto).
 struct KernelCounters {
   obs::Counter& evals;
@@ -46,18 +46,11 @@ struct KernelCounters {
 };
 
 KernelCounters& kernel_counters(Simd k) {
-  static KernelCounters* per = [] {
-    static KernelCounters storage[kSimdKernelCount] = {
-        {obs::counter("distance.dtw_evals", {{"kernel", "scalar"}}),
-         obs::counter("distance.dtw_cells", {{"kernel", "scalar"}})},
-        {obs::counter("distance.dtw_evals", {{"kernel", "sse2"}}),
-         obs::counter("distance.dtw_cells", {{"kernel", "sse2"}})},
-        {obs::counter("distance.dtw_evals", {{"kernel", "avx2"}}),
-         obs::counter("distance.dtw_cells", {{"kernel", "avx2"}})},
-    };
-    return storage;
-  }();
-  return per[static_cast<std::size_t>(k)];
+  static KernelCounters scalar{obs::counter("distance.dtw_evals", {{"kernel", "scalar"}}),
+                               obs::counter("distance.dtw_cells", {{"kernel", "scalar"}})};
+  static KernelCounters avx2{obs::counter("distance.dtw_evals", {{"kernel", "avx2"}}),
+                             obs::counter("distance.dtw_cells", {{"kernel", "avx2"}})};
+  return k == Simd::kAvx2 ? avx2 : scalar;
 }
 
 // Band columns for every row (1-based; [0] unused), shared by LB_Keogh and
@@ -211,12 +204,9 @@ double dtw(std::span<const double> a, std::span<const double> b, double band_fra
     }
   }
   const detail::BandSpec band{j_lo, j_hi};
-  detail::DtwRun run;
-  switch (kern) {
-    case Simd::kAvx2: run = detail::dtw_dp_avx2(a, b, band, raw_cutoff); break;
-    case Simd::kSse2: run = detail::dtw_dp_sse2(a, b, band, raw_cutoff); break;
-    default: run = detail::dtw_dp_scalar(a, b, band, raw_cutoff); break;
-  }
+  const detail::DtwRun run = kern == Simd::kAvx2
+                                 ? detail::dtw_dp_avx2(a, b, band, raw_cutoff)
+                                 : detail::dtw_dp_scalar(a, b, band, raw_cutoff);
   // One relaxed add per eval, not per cell: counting stays off the DP loop.
   c.evals.add();
   c.cells.add(run.cells);

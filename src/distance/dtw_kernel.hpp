@@ -10,7 +10,7 @@
 // the DP are non-decreasing (every cell adds a non-negative cost to a value
 // from the row above or its own row), so "some row minimum >= cutoff" is
 // equivalent to "the final row minimum >= cutoff". The scalar kernel checks
-// every row, the wavefront kernels check each strip's carry row; both return
+// every row, the wavefront kernel checks each strip's carry row; both return
 // +inf on exactly the same inputs.
 #pragma once
 
@@ -30,7 +30,7 @@ struct DtwRun {
 // Band columns per row, 1-based (index 0 unused), as dtw() computes them:
 // j_lo[i] = max(1, center - band), j_hi[i] = min(m, center + band) with
 // center = floor(i * m / n). Both are non-decreasing in i — the wavefront
-// kernels rely on that to track each diagonal's valid row range with two
+// kernel relies on that to track each diagonal's valid row range with two
 // monotone cursors.
 struct BandSpec {
   std::span<const std::size_t> j_lo;
@@ -39,10 +39,8 @@ struct BandSpec {
 
 DtwRun dtw_dp_scalar(std::span<const double> a, std::span<const double> b,
                      const BandSpec& band, double raw_cutoff);
-// x86-64 wavefront kernels; on other targets they forward to the scalar DP
-// (resolve_simd never selects them there, but the symbols stay linkable).
-DtwRun dtw_dp_sse2(std::span<const double> a, std::span<const double> b,
-                   const BandSpec& band, double raw_cutoff);
+// x86-64 wavefront kernel; on other targets it forwards to the scalar DP
+// (resolve_simd never selects it there, but the symbol stays linkable).
 DtwRun dtw_dp_avx2(std::span<const double> a, std::span<const double> b,
                    const BandSpec& band, double raw_cutoff);
 

@@ -1,6 +1,6 @@
-// The three interchangeable DTW DP kernels (see dtw_kernel.hpp for the
-// bit-exactness argument). The wavefront kernels sweep anti-diagonals of the
-// band in cache-blocked row strips: within one strip of kStripRows rows,
+// The two interchangeable DTW DP kernels (see dtw_kernel.hpp for the
+// bit-exactness argument). The AVX2 wavefront kernel sweeps anti-diagonals
+// of the band in cache-blocked row strips: within one strip of kStripRows rows,
 // cells on a diagonal depend only on the two previous diagonals, so a whole
 // vector of rows is computed per instruction with no intra-diagonal
 // dependency. The strip's entry row lives in a carry buffer; its exit row is
@@ -71,12 +71,10 @@ DtwRun dtw_dp_scalar(std::span<const double> a, std::span<const double> b,
 
 #if defined(__x86_64__)
 
-// The two wavefront kernels are textually parallel; only the vector width
-// and intrinsic spellings differ. Keep edits in lockstep.
-
-DtwRun dtw_dp_sse2(std::span<const double> a, std::span<const double> b,
-                   const BandSpec& band, double raw_cutoff) {
-  constexpr std::size_t W = 2;  // doubles per XMM
+__attribute__((target("avx2"))) DtwRun dtw_dp_avx2(std::span<const double> a,
+                                                   std::span<const double> b,
+                                                   const BandSpec& band, double raw_cutoff) {
+  constexpr std::size_t W = 4;  // doubles per YMM
   const std::size_t n = a.size(), m = b.size();
   DtwRun run;
 
@@ -97,9 +95,9 @@ DtwRun dtw_dp_sse2(std::span<const double> a, std::span<const double> b,
   const std::size_t stride = kStripRows + W + 2;
   std::vector<double> bufs(3 * stride, kInf);
 
-  const __m128d vinf = _mm_set1_pd(kInf);
-  const __m128d sign = _mm_set1_pd(-0.0);
-  const __m128d lane_step = _mm_set_pd(1.0, 0.0);
+  const __m256d vinf = _mm256_set1_pd(kInf);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d lane_step = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
 
   for (std::size_t i0 = 0; i0 < n; i0 += kStripRows) {
     const std::size_t i1 = std::min(n, i0 + kStripRows);
@@ -133,21 +131,22 @@ DtwRun dtw_dp_sse2(std::span<const double> a, std::span<const double> b,
         continue;
       }
 
-      const __m128d vhi = _mm_set1_pd(static_cast<double>(hi_row));
+      const __m256d vhi = _mm256_set1_pd(static_cast<double>(hi_row));
       for (std::size_t i = lo_row; i <= hi_row; i += W) {
         const std::size_t r = i - i0;
-        const __m128d va = _mm_loadu_pd(pa_base + (i - 1));
-        const __m128d vb = _mm_loadu_pd(rb_base + (m + i - d));
-        const __m128d cost = _mm_andnot_pd(sign, _mm_sub_pd(va, vb));
-        const __m128d west = _mm_loadu_pd(prev + r);
-        const __m128d north = _mm_loadu_pd(prev + r - 1);
-        const __m128d nw = _mm_loadu_pd(prev2 + r - 1);
-        const __m128d best = _mm_min_pd(_mm_min_pd(west, north), nw);
-        __m128d val = _mm_add_pd(cost, best);
-        const __m128d lane_i = _mm_add_pd(_mm_set1_pd(static_cast<double>(i)), lane_step);
-        const __m128d valid = _mm_cmple_pd(lane_i, vhi);
-        val = _mm_or_pd(_mm_and_pd(valid, val), _mm_andnot_pd(valid, vinf));
-        _mm_storeu_pd(cur + r, val);
+        const __m256d va = _mm256_loadu_pd(pa_base + (i - 1));
+        const __m256d vb = _mm256_loadu_pd(rb_base + (m + i - d));
+        const __m256d cost = _mm256_andnot_pd(sign, _mm256_sub_pd(va, vb));
+        const __m256d west = _mm256_loadu_pd(prev + r);
+        const __m256d north = _mm256_loadu_pd(prev + r - 1);
+        const __m256d nw = _mm256_loadu_pd(prev2 + r - 1);
+        const __m256d best = _mm256_min_pd(_mm256_min_pd(west, north), nw);
+        __m256d val = _mm256_add_pd(cost, best);
+        const __m256d lane_i =
+            _mm256_add_pd(_mm256_set1_pd(static_cast<double>(i)), lane_step);
+        const __m256d valid = _mm256_cmp_pd(lane_i, vhi, _CMP_LE_OQ);
+        val = _mm256_blendv_pd(vinf, val, valid);
+        _mm256_storeu_pd(cur + r, val);
       }
       // Fringe slots the next diagonal may read but this one's vector loop
       // did not write (the ranges move by at most one row per diagonal).
@@ -177,104 +176,7 @@ DtwRun dtw_dp_sse2(std::span<const double> a, std::span<const double> b,
   return run;
 }
 
-__attribute__((target("avx2"))) DtwRun dtw_dp_avx2(std::span<const double> a,
-                                                   std::span<const double> b,
-                                                   const BandSpec& band, double raw_cutoff) {
-  constexpr std::size_t W = 4;  // doubles per YMM
-  const std::size_t n = a.size(), m = b.size();
-  DtwRun run;
-
-  std::vector<double> pa(n + 2 * W, 0.0), rb(m + 2 * W, 0.0);
-  std::copy(a.begin(), a.end(), pa.begin() + W);
-  for (std::size_t j = 0; j < m; ++j) rb[W + j] = b[m - 1 - j];
-  const double* pa_base = pa.data() + W;
-  const double* rb_base = rb.data() + W;
-
-  std::vector<double> carry(m + 1, kInf), next_carry(m + 1, kInf);
-  carry[0] = 0.0;
-
-  const std::size_t stride = kStripRows + W + 2;
-  std::vector<double> bufs(3 * stride, kInf);
-
-  const __m256d vinf = _mm256_set1_pd(kInf);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d lane_step = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-
-  for (std::size_t i0 = 0; i0 < n; i0 += kStripRows) {
-    const std::size_t i1 = std::min(n, i0 + kStripRows);
-    std::fill(bufs.begin(), bufs.end(), kInf);
-    std::fill(next_carry.begin(), next_carry.end(), kInf);
-    double* prev2 = bufs.data();
-    double* prev = bufs.data() + stride;
-    double* cur = bufs.data() + 2 * stride;
-
-    const std::size_t dmin = (i0 + 1) + band.j_lo[i0 + 1];
-    const std::size_t dmax = i1 + band.j_hi[i1];
-    std::size_t lo_row = i0 + 1;
-    std::size_t hi_row = i0;
-
-    for (std::size_t d = dmin; d <= dmax; ++d) {
-      double* t = prev2;
-      prev2 = prev;
-      prev = cur;
-      cur = t;
-      prev[0] = (d - 1 - i0 <= m) ? carry[d - 1 - i0] : kInf;
-      prev2[0] = (d - 2 - i0 <= m) ? carry[d - 2 - i0] : kInf;
-
-      while (hi_row < i1 && (hi_row + 1) + band.j_lo[hi_row + 1] <= d) ++hi_row;
-      while (lo_row < i1 && lo_row + band.j_hi[lo_row] < d) ++lo_row;
-      if (lo_row > hi_row || hi_row == i0 || lo_row + band.j_hi[lo_row] < d) {
-        std::fill(cur, cur + stride, kInf);
-        continue;
-      }
-
-      const __m256d vhi = _mm256_set1_pd(static_cast<double>(hi_row));
-      for (std::size_t i = lo_row; i <= hi_row; i += W) {
-        const std::size_t r = i - i0;
-        const __m256d va = _mm256_loadu_pd(pa_base + (i - 1));
-        const __m256d vb = _mm256_loadu_pd(rb_base + (m + i - d));
-        const __m256d cost = _mm256_andnot_pd(sign, _mm256_sub_pd(va, vb));
-        const __m256d west = _mm256_loadu_pd(prev + r);
-        const __m256d north = _mm256_loadu_pd(prev + r - 1);
-        const __m256d nw = _mm256_loadu_pd(prev2 + r - 1);
-        const __m256d best = _mm256_min_pd(_mm256_min_pd(west, north), nw);
-        __m256d val = _mm256_add_pd(cost, best);
-        const __m256d lane_i =
-            _mm256_add_pd(_mm256_set1_pd(static_cast<double>(i)), lane_step);
-        const __m256d valid = _mm256_cmp_pd(lane_i, vhi, _CMP_LE_OQ);
-        val = _mm256_blendv_pd(vinf, val, valid);
-        _mm256_storeu_pd(cur + r, val);
-      }
-      cur[lo_row - i0 - 1] = kInf;
-      cur[hi_row - i0 + 1] = kInf;
-      if (hi_row == i1) next_carry[d - i1] = cur[i1 - i0];
-    }
-
-    for (std::size_t i = i0 + 1; i <= i1; ++i) {
-      if (band.j_hi[i] >= band.j_lo[i]) run.cells += band.j_hi[i] - band.j_lo[i] + 1;
-    }
-    if (std::isfinite(raw_cutoff)) {
-      double strip_min = kInf;
-      for (std::size_t j = 0; j <= m; ++j) strip_min = std::min(strip_min, next_carry[j]);
-      if (strip_min >= raw_cutoff) {
-        run.abandoned = true;
-        run.abandon_bound = strip_min;
-        run.raw = kInf;
-        return run;
-      }
-    }
-    carry.swap(next_carry);
-  }
-  run.raw = carry[m];
-  return run;
-}
-
 #else  // !__x86_64__
-
-DtwRun dtw_dp_sse2(std::span<const double> a, std::span<const double> b,
-                   const BandSpec& band, double raw_cutoff) {
-  return dtw_dp_scalar(a, b, band, raw_cutoff);
-}
 
 DtwRun dtw_dp_avx2(std::span<const double> a, std::span<const double> b,
                    const BandSpec& band, double raw_cutoff) {

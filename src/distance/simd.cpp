@@ -1,8 +1,6 @@
 #include "distance/simd.hpp"
 
-#include <atomic>
 #include <cstdlib>
-#include <string>
 
 #include "obs/report.hpp"
 #include "util/log.hpp"
@@ -11,38 +9,41 @@ namespace abg::distance {
 
 namespace {
 
-Simd detect_best() {
-#if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx2")) return Simd::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Simd::kSse2;
-#endif
+// An explicit kernel if the host can run it, else scalar.
+Simd available_or_scalar(Simd s) {
+  if (simd_available(s)) return s;
+  ABG_WARN_ONCE("simd_fallback", "DTW kernel %s unavailable on this CPU; falling back to scalar",
+                simd_name(s));
   return Simd::kScalar;
 }
 
-// ABG_SIMD, parsed once per process (the env does not change mid-run).
-Simd env_simd() {
+// The process kernel: ABG_SIMD, else the best the CPU runs. Resolved once
+// (neither the env nor the CPU changes mid-run) and stamped into the report
+// meta at the same time, so abg_report can refuse cross-kernel comparisons.
+Simd process_kernel() {
   static const Simd v = [] {
-    const char* e = std::getenv("ABG_SIMD");
-    if (e == nullptr || *e == '\0') return Simd::kAuto;
-    const auto parsed = parse_simd(e);
-    if (!parsed.has_value()) {
-      ABG_WARN("ABG_SIMD=%s is not scalar|sse2|avx2|auto; using auto", e);
-      return Simd::kAuto;
+    Simd want = Simd::kAuto;
+    if (const char* e = std::getenv("ABG_SIMD"); e != nullptr && *e != '\0') {
+      if (const auto parsed = parse_simd(e)) {
+        want = *parsed;
+      } else {
+        ABG_WARN("ABG_SIMD=%s is not scalar|avx2|auto; using auto", e);
+      }
     }
-    return *parsed;
+    const Simd got = want == Simd::kAuto
+                         ? (simd_available(Simd::kAvx2) ? Simd::kAvx2 : Simd::kScalar)
+                         : available_or_scalar(want);
+    obs::set_report_meta("simd_kernel", simd_name(got));
+    return got;
   }();
   return v;
 }
-
-// One fallback step down the chain: avx2 -> sse2 -> scalar.
-Simd step_down(Simd s) { return s == Simd::kAvx2 ? Simd::kSse2 : Simd::kScalar; }
 
 }  // namespace
 
 const char* simd_name(Simd s) {
   switch (s) {
     case Simd::kScalar: return "scalar";
-    case Simd::kSse2: return "sse2";
     case Simd::kAvx2: return "avx2";
     case Simd::kAuto: return "auto";
   }
@@ -51,7 +52,6 @@ const char* simd_name(Simd s) {
 
 std::optional<Simd> parse_simd(std::string_view name) {
   if (name == "scalar") return Simd::kScalar;
-  if (name == "sse2") return Simd::kSse2;
   if (name == "avx2") return Simd::kAvx2;
   if (name == "auto") return Simd::kAuto;
   return std::nullopt;
@@ -62,12 +62,6 @@ bool simd_available(Simd s) {
     case Simd::kScalar:
     case Simd::kAuto:
       return true;
-    case Simd::kSse2:
-#if defined(__x86_64__)
-      return __builtin_cpu_supports("sse2") != 0;
-#else
-      return false;
-#endif
     case Simd::kAvx2:
 #if defined(__x86_64__)
       return __builtin_cpu_supports("avx2") != 0;
@@ -79,24 +73,10 @@ bool simd_available(Simd s) {
 }
 
 Simd resolve_simd(Simd requested) {
-  Simd want = requested == Simd::kAuto ? env_simd() : requested;
-  Simd got = want == Simd::kAuto ? detect_best() : want;
-  while (got != Simd::kScalar && !simd_available(got)) {
-    if (want != Simd::kAuto) {
-      ABG_WARN_ONCE("simd_fallback", "DTW kernel %s unavailable on this CPU; falling back",
-                    simd_name(got));
-    }
-    got = step_down(got);
-  }
-  // Record the active kernel in the run report so abg_report can refuse
-  // cross-kernel perf comparisons. Guarded: only on change, not per eval.
-  static std::atomic<int> last{-1};
-  const int gi = static_cast<int>(got);
-  if (last.load(std::memory_order_relaxed) != gi) {
-    last.store(gi, std::memory_order_relaxed);
-    obs::set_report_meta("simd_kernel", simd_name(got));
-  }
-  return got;
+  // Resolved even for an explicit request, so the meta is stamped with the
+  // process kernel by the first call of any kind, never by a one-off tier.
+  const Simd proc = process_kernel();
+  return requested == Simd::kAuto ? proc : available_or_scalar(requested);
 }
 
 }  // namespace abg::distance

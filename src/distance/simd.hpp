@@ -1,15 +1,17 @@
-// Runtime DTW-kernel dispatch (ISSUE 7). Three kernels compute the banded
-// DTW dynamic program — a scalar reference (the oracle), an SSE2 2-lane and
-// an AVX2 4-lane cache-blocked anti-diagonal wavefront — and all three are
-// bit-identical on every input (asserted by the kernel-equivalence suite),
-// so dispatch is purely a speed decision and never a correctness one.
+// Runtime DTW-kernel dispatch (ISSUE 7). Two kernels compute the banded
+// DTW dynamic program — a scalar reference (the oracle) and an AVX2 4-lane
+// cache-blocked anti-diagonal wavefront — and both are bit-identical on
+// every input (asserted by the kernel-equivalence suite), so dispatch is
+// purely a speed decision and never a correctness one.
 //
-// Selection precedence: an explicit Simd option on the call wins, then the
-// ABG_SIMD environment variable (scalar|sse2|avx2|auto, parsed once), then
-// CPU autodetection. Requesting an ISA the host lacks falls back down the
-// chain (avx2 -> sse2 -> scalar) with a one-time warning; the resolved
-// kernel is recorded in the metrics report meta ("simd_kernel") so perf
-// comparisons are never silently cross-kernel.
+// The kernel is a property of the process: the ABG_SIMD environment variable
+// (scalar|avx2|auto, parsed once) pins it, otherwise CPU autodetection picks
+// AVX2 when the host has it and scalar when not. Requesting AVX2 on a host
+// without it falls back to scalar with a one-time warning. The process kernel
+// is recorded once in the metrics report meta ("simd_kernel") so perf
+// comparisons are never silently cross-kernel. An explicit Simd on a single
+// call (DistanceOptions::simd) overrides the process kernel for that call
+// only — the seam the kernel-equivalence tests use — and leaves the meta be.
 #pragma once
 
 #include <cstdint>
@@ -19,18 +21,15 @@
 namespace abg::distance {
 
 // Numeric values are stable: they are written verbatim into journal records
-// (JournalRecord::kernel) and must keep decoding old files.
+// (JournalRecord::kernel) and must keep decoding old files. Value 1 belonged
+// to a deleted kernel; journals that carry it still decode (abg_inspect).
 enum class Simd : std::uint8_t {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
   kAuto = 255,  // defer to ABG_SIMD, then CPU detection
 };
 
-// Resolved-kernel count (kAuto excluded).
-inline constexpr std::size_t kSimdKernelCount = 3;
-
-// "scalar" / "sse2" / "avx2" / "auto".
+// "scalar" / "avx2" / "auto".
 const char* simd_name(Simd s);
 
 // Parse a kernel name (as in ABG_SIMD); nullopt on anything else.
@@ -39,8 +38,8 @@ std::optional<Simd> parse_simd(std::string_view name);
 // True when the host CPU can run the kernel (kScalar/kAuto: always).
 bool simd_available(Simd s);
 
-// Apply the selection precedence and fall back to an available kernel.
-// Returns one of kScalar/kSse2/kAvx2, never kAuto.
+// kAuto resolves to the process kernel; an explicit kernel resolves to
+// itself when the host can run it, else to scalar. Never returns kAuto.
 Simd resolve_simd(Simd requested = Simd::kAuto);
 
 }  // namespace abg::distance

@@ -113,7 +113,6 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
   // enumerator recorded. Fingerprints then pin each hole assignment.
   const bool jrn = obs::journal_in_scope();
   const std::uint64_t sketch_hash = jrn ? dsl::hash_expr(*sketch) : 0;
-  const distance::DistanceOptions dopts = effective_distance_options(opts);
 
   // Compiled once per sketch; every lane of every window reuses it. The
   // observed series are candidate-independent, so they are shared too.
@@ -160,7 +159,7 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
         bool abandoned = false;
         for (std::size_t s = 0; s < segments.size(); ++s) {
           if (obs::journal_enabled()) obs::journal_set_segment(static_cast<std::uint32_t>(s));
-          sum += distance::compute(opts.metric, synth[s][k], observed[s], dopts,
+          sum += distance::compute(opts.metric, synth[s][k], observed[s], opts.dopts,
                                    bounded ? c0 - sum : distance::kNoAbandon);
           if (bounded && sum >= c0) {
             static auto& c_ab = obs::counter("synth.distance_abandons");
@@ -294,22 +293,16 @@ ScoredHandler validate_candidates(const std::vector<ScoredHandler>& candidates,
 }
 
 SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
-                               const SynthesisOptions& opts_in, PassExecutor& exec) {
+                               const SynthesisOptions& opts, PassExecutor& exec) {
   util::Stopwatch total_clock;
   SynthesisResult result;
 
   // Eager options validation (ISSUE 4): a bad knob fails here, before any
   // enumerator or checkpoint work, with the field named in the status.
-  if (auto st = opts_in.validate(); !st.is_ok()) {
+  if (auto st = opts.validate(); !st.is_ok()) {
     result.status = st.with_context("SynthesisOptions");
     return result;
   }
-
-  // Fold the run-level SIMD choice into the distance options once, so every
-  // downstream distance — bucket scoring and final validation alike — runs
-  // the same kernel (ISSUE 7).
-  SynthesisOptions opts = opts_in;
-  opts.dopts = effective_distance_options(opts);
 
   // All interrupt sources — the deadline watchdog, a caller-supplied token,
   // and injected faults — funnel into one local token polled at every safe

@@ -94,13 +94,9 @@ struct SynthesisOptions {
   // dsl::kBatchLanes hole-assignments in lockstep; the tree-walk replay()
   // remains the oracle it is tested against. Like the fast-path knobs
   // above, the kernel tier changes only how the work is done, never the
-  // result the refinement loop consumes (same golden test).
-  //
-  // DTW kernel tier for every distance this run computes. kAuto defers to
-  // ABG_SIMD and then to CPU detection (see distance::resolve_simd); an
-  // explicit tier here wins over the environment. Overrides dopts.simd when
-  // not kAuto, so callers configure one field, not two.
-  distance::Simd simd = distance::Simd::kAuto;
+  // result the refinement loop consumes (same golden test). The DTW kernel
+  // is a property of the process (ABG_SIMD, else the CPU; see
+  // distance::resolve_simd); dopts.simd pins it per call.
 
   // --- Search forensics (ISSUE 6). When true AND a process-wide journal is
   // armed (obs::journal_start), this run emits one event per candidate

@@ -17,9 +17,7 @@ std::uint64_t bucket_rng_seed(const std::string& label, std::uint64_t seed) {
 }
 
 distance::DistanceOptions effective_distance_options(const SynthesisOptions& opts) {
-  distance::DistanceOptions dopts = opts.dopts;
-  if (opts.simd != distance::Simd::kAuto) dopts.simd = opts.simd;
-  return dopts;
+  return opts.dopts;
 }
 
 std::uint32_t journal_job_id(const SynthesisOptions& opts) {
@@ -196,7 +194,6 @@ util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOp
 ShardEngine::ShardEngine(dsl::Dsl dsl, const std::vector<trace::Segment>& segments,
                          SynthesisOptions opts)
     : dsl_(std::move(dsl)), segments_(segments), opts_(std::move(opts)) {
-  opts_.dopts = effective_distance_options(opts_);
   pool_ = opts_.pool;
   if (pool_ == nullptr) {
     owned_pool_ = std::make_unique<util::ThreadPool>(

@@ -41,8 +41,8 @@ namespace abg::synth {
 // as the single-process loop does.
 std::uint64_t bucket_rng_seed(const std::string& label, std::uint64_t seed);
 
-// The effective distance options for a run: SynthesisOptions::simd, when
-// explicit, wins over whatever dopts carries (one knob, not two).
+// The distance options for a run: opts.dopts. Kept only for the benchmark
+// harness, which still calls it; delete it once the harness reads dopts.
 distance::DistanceOptions effective_distance_options(const SynthesisOptions& opts);
 
 // Interned journal id of the run's {job=...} obs label (the engine and the

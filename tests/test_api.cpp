@@ -264,6 +264,13 @@ TEST(Manifest, RejectsStructuralMistakes) {
                 .status()
                 .code(),
             util::StatusCode::kInvalidArgument);
+  // "simd" is as stray as any other key: the DTW kernel is a property of
+  // the process (ABG_SIMD), not of a job.
+  const auto simd_key =
+      api::parse_manifest(R"({"jobs": [{"traces": ["a.csv"], "simd": "avx2"}]})").status();
+  EXPECT_EQ(simd_key.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(simd_key.to_string().find("unknown job key 'simd'"), std::string::npos)
+      << simd_key.to_string();
   // Type mismatches.
   EXPECT_EQ(api::parse_manifest(R"({"jobs": [{"traces": "a.csv"}]})").status().code(),
             util::StatusCode::kInvalidArgument);

@@ -2,7 +2,7 @@
 // batched bytecode replay path must be indistinguishable from the scalar
 // reference in every result that feeds selection — not approximately, but
 // bit for bit. Every suite here runs in each CI SIMD matrix leg (ABG_SIMD =
-// avx2/sse2/scalar), so a kernel that diverges on some host breaks the build
+// avx2/scalar), so a kernel that diverges on some host breaks the build
 // on that host rather than silently reordering search winners.
 #include <gtest/gtest.h>
 
@@ -19,12 +19,12 @@
 #include "dsl/eval.hpp"
 #include "dsl/expr.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "synth/batch_eval.hpp"
 #include "synth/concretize.hpp"
 #include "synth/eval_cache.hpp"
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
-#include "synth/shard.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -41,7 +41,6 @@ std::vector<double> random_walk(util::Rng& rng, std::size_t n, double lo = -1.0,
 
 std::vector<Simd> available_vector_kernels() {
   std::vector<Simd> out;
-  if (simd_available(Simd::kSse2)) out.push_back(Simd::kSse2);
   if (simd_available(Simd::kAvx2)) out.push_back(Simd::kAvx2);
   return out;
 }
@@ -133,16 +132,30 @@ TEST(SimdDispatch, ResolvedKernelMatchesAbgSimdRequest) {
 }
 
 TEST(SimdDispatch, ExplicitOptionBeatsEnvironment) {
-  // An explicit Simd on the call must win over ABG_SIMD.
-  if (!simd_available(Simd::kSse2)) GTEST_SKIP() << "no sse2 on this host";
-  EXPECT_EQ(resolve_simd(Simd::kSse2), Simd::kSse2);
+  // An explicit Simd on the call must win over ABG_SIMD: both kernels are
+  // pinned whatever the environment says (AVX2 only where the host runs it).
   EXPECT_EQ(resolve_simd(Simd::kScalar), Simd::kScalar);
+  EXPECT_EQ(resolve_simd(Simd::kAvx2),
+            simd_available(Simd::kAvx2) ? Simd::kAvx2 : Simd::kScalar);
+}
+
+TEST(SimdDispatch, ReportMetaNamesTheProcessKernel) {
+  // meta.simd_kernel names the process kernel (ABG_SIMD, else the CPU); a
+  // one-off explicit tier on a single call must not rewrite it.
+  const Simd process = resolve_simd();
+  const std::vector<double> a{0.0, 1.0, 2.0}, b{0.0, 1.5, 2.0};
+  dtw(a, b, 0.0, kNoAbandon, Simd::kScalar);
+  std::string stamped;
+  for (const auto& [key, value] : obs::report_meta()) {
+    if (key == "simd_kernel") stamped = value;
+  }
+  EXPECT_EQ(stamped, simd_name(process));
 }
 
 TEST(SimdDispatch, AlwaysResolvesToAnAvailableKernel) {
-  // Requesting any tier — including ones this host lacks — must land on an
-  // available kernel via the avx2 -> sse2 -> scalar fallback chain.
-  for (Simd req : {Simd::kAuto, Simd::kScalar, Simd::kSse2, Simd::kAvx2}) {
+  // Requesting any tier — including one this host lacks — must land on an
+  // available kernel: a missing AVX2 falls back to scalar.
+  for (Simd req : {Simd::kAuto, Simd::kScalar, Simd::kAvx2}) {
     const Simd got = resolve_simd(req);
     EXPECT_NE(got, Simd::kAuto);
     EXPECT_TRUE(simd_available(got)) << simd_name(req) << " -> " << simd_name(got);
@@ -150,11 +163,12 @@ TEST(SimdDispatch, AlwaysResolvesToAnAvailableKernel) {
 }
 
 TEST(SimdDispatch, KernelNamesRoundTrip) {
-  for (Simd s : {Simd::kScalar, Simd::kSse2, Simd::kAvx2, Simd::kAuto}) {
+  for (Simd s : {Simd::kScalar, Simd::kAvx2, Simd::kAuto}) {
     const auto parsed = parse_simd(simd_name(s));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, s);
   }
+  EXPECT_FALSE(parse_simd("sse2").has_value());  // the kernel is deleted
   EXPECT_FALSE(parse_simd("avx512").has_value());
   EXPECT_FALSE(parse_simd("").has_value());
 }
@@ -353,13 +367,12 @@ Oracle tree_walk_oracle(const dsl::ExprPtr& sketch, const std::vector<trace::Seg
   ConcretizeOptions copts;
   copts.budget = opts.concretize_budget;
   const auto assignments = enumerate_assignments(*sketch, pool, copts, rng);
-  const auto dopts = effective_distance_options(opts);
   Oracle o;
   o.best.sketch = sketch;
   o.handlers = assignments.size();
   for (const auto& assign : assignments) {
     auto handler = dsl::fill_holes(sketch, assign);
-    const double d = total_distance(*handler, segments, opts.metric, dopts);
+    const double d = total_distance(*handler, segments, opts.metric, opts.dopts);
     if (d < o.best.distance) {
       o.best.distance = d;
       o.best.handler = std::move(handler);
@@ -451,18 +464,16 @@ TEST(BatchSearch, WinnerIdenticalAcrossBatchingAndKernels) {
                                                dsl::hole(1))));
 
   SynthesisOptions scalar_opts;
-  scalar_opts.simd = distance::Simd::kScalar;
+  scalar_opts.dopts.simd = distance::Simd::kScalar;
   scalar_opts.concretize_budget = 24;
   const Oracle want = tree_walk_oracle(sketch, segments, pool, scalar_opts, 55);
   ASSERT_TRUE(want.best.valid());
 
   std::vector<distance::Simd> kernels{distance::Simd::kScalar};
-  for (auto k : {distance::Simd::kSse2, distance::Simd::kAvx2}) {
-    if (distance::simd_available(k)) kernels.push_back(k);
-  }
+  if (distance::simd_available(distance::Simd::kAvx2)) kernels.push_back(distance::Simd::kAvx2);
   for (const auto kernel : kernels) {
     SynthesisOptions opts = scalar_opts;
-    opts.simd = kernel;
+    opts.dopts.simd = kernel;
     util::Rng rng(55);  // identical sampling per kernel
     std::size_t scored = 0;
     EvalContext ctx;  // no cache, no bound: every distance exact

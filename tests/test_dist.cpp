@@ -582,6 +582,12 @@ TEST(DistCodec, UnknownKeysRejectedNamingTheField) {
   EXPECT_EQ(spec.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(spec.status().to_string().find("inital_samples"), std::string::npos)
       << spec.status().to_string();
+  // A spec stored before the DTW kernel became a process property.
+  auto simd = api::spec_from_json("{\"traces\":[\"t.csv\"],\"simd\":\"avx2\"}");
+  ASSERT_FALSE(simd.ok());
+  EXPECT_EQ(simd.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(simd.status().to_string().find("'simd'"), std::string::npos)
+      << simd.status().to_string();
 }
 
 // Property-style: randomized specs survive an emit/parse round trip exactly.

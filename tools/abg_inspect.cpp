@@ -23,9 +23,9 @@
 //
 //   abg_inspect hotspots j.journal [--by bucket|segment|kernel]
 //       Where DTW cells were spent, by bucket (default), working-set segment
-//       index, or the DTW kernel that burned them (scalar/sse2/avx2 — each
-//       distance event is stamped with the resolved distance::Simd tier, so a
-//       mixed-kernel run shows exactly which tier did the work).
+//       index, or the DTW kernel that burned them (scalar/avx2 — each
+//       distance event is stamped with the distance::Simd kernel that ran
+//       its DP, so a mixed-kernel run shows exactly which kernel did the work).
 //
 //   abg_inspect diff a.journal b.journal
 //       Funnel deltas between two runs of the same workload (canonically:
@@ -117,7 +117,8 @@ bool parse_group_by(const std::string& s, GroupBy* out, bool allow_segment) {
 }
 
 // Names mirror distance::Simd's numeric values; the journal stores the raw
-// byte so this tool does not have to link the distance library.
+// byte so this tool does not have to link the distance library. Byte 1 names
+// a kernel since deleted, so journals written while it existed still decode.
 std::string kernel_name(std::uint8_t kernel) {
   switch (kernel) {
     case 0: return "scalar";
