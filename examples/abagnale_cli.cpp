@@ -359,8 +359,6 @@ bool write_batch_report(const std::string& path, const api::Engine& engine,
   w.value(static_cast<std::uint64_t>(engine.options().threads));
   w.key("max_concurrent_jobs");
   w.value(static_cast<std::uint64_t>(engine.options().max_concurrent_jobs));
-  w.key("share_eval_cache");
-  w.value(engine.options().share_eval_cache);
   w.end_object();
   w.key("total_seconds");
   w.value(total_seconds);
@@ -418,9 +416,8 @@ int cmd_batch(const char* manifest_path) {
   util::Stopwatch clock;
   api::Engine engine(manifest->engine);
   JobsProviderScope jobs_provider([&engine] { return engine.jobs_json(); });
-  std::printf("batch: %zu jobs on %zu threads (%zu concurrent, cache %s)\n", total,
-              engine.options().threads, engine.options().max_concurrent_jobs,
-              engine.options().share_eval_cache ? "shared" : "per-job");
+  std::printf("batch: %zu jobs on %zu threads (%zu concurrent)\n", total,
+              engine.options().threads, engine.options().max_concurrent_jobs);
   auto handles = engine.submit_all(std::move(manifest->jobs));
   if (!handles.ok()) {
     std::fprintf(stderr, "batch rejected: %s\n", handles.status().to_string().c_str());

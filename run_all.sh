@@ -11,7 +11,10 @@
 # before stopping the script — the final ALL-RUNS-COMPLETE marker prints
 # only when every stage passed.
 set -uo pipefail
-cd /root/repo
+# Every path below is relative to the checkout this script lives in, so it
+# runs from any clone and any working directory.
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+cd "$ROOT" || exit 1
 
 # DTW kernel for this recorded run (scalar|avx2|auto). The caller's ABG_SIMD is
 # honored by every stage below (the binaries resolve it themselves); the kernel
@@ -51,7 +54,7 @@ run_stage() {
   fi
 }
 
-run_tests() { ctest --test-dir build --output-on-failure 2>&1 | tee /root/repo/test_output.txt; }
+run_tests() { ctest --test-dir build --output-on-failure 2>&1 | tee "$ROOT/test_output.txt"; }
 run_stage "tier1-tests" run_tests
 
 run_benches() {
@@ -59,7 +62,7 @@ run_benches() {
     for b in build/bench/*; do
       if [ -x "$b" ] && [ -f "$b" ]; then "$b" || return $?; fi
     done
-  } 2>&1 | tee /root/repo/bench_output.txt
+  } 2>&1 | tee "$ROOT/bench_output.txt"
 }
 run_stage "benchmarks" run_benches
 
@@ -72,13 +75,13 @@ run_stage "benchmarks" run_benches
 perf_report() {
   local tmp
   tmp="$(mktemp -d)"
-  (cd "$tmp" && ABG_SIMD=scalar /root/repo/build/bench/bench_micro \
+  (cd "$tmp" && ABG_SIMD=scalar "$ROOT/build/bench/bench_micro" \
       --benchmark_filter='^BM_Dtw/1024$' >/dev/null) || return $?
   ./build/tools/abg_report BENCH_baseline.json "$tmp/bench_micro.metrics.json" \
       --require distance.dtw_evals \
       --require obs.series_overflow=0 \
       --gate-ratio distance.dtw_cells/distance.dtw_evals=2 \
-      2>&1 | tee /root/repo/perf_report.txt
+      2>&1 | tee "$ROOT/perf_report.txt"
   local rc=$?
   rm -rf "$tmp"
   return "$rc"
@@ -118,7 +121,7 @@ batch_sweep() {
 {
   "threads": 4,
   "max_concurrent_jobs": 2,
-  "report": "/root/repo/batch_report.json",
+  "report": "$ROOT/batch_report.json",
   "jobs": [
     {"name": "reno", "traces": ["$tmp/reno.csv"], "dsl": "reno",
      "timeout_s": 90, "max_iterations": 2, "initial_samples": 4},
@@ -132,16 +135,16 @@ EOF
   # the trace file records one Perfetto lane per job, and the search journal
   # records every candidate's lifecycle (split per job at exit).
   ./build/examples/abagnale_cli --batch "$tmp/sweep.json" \
-      --status-port 0 --trace-out /root/repo/batch_trace.json \
-      --journal-out /root/repo/batch_search.journal \
-      2>&1 | tee /root/repo/batch_output.txt
+      --status-port 0 --trace-out "$ROOT/batch_trace.json" \
+      --journal-out "$ROOT/batch_search.journal" \
+      2>&1 | tee "$ROOT/batch_output.txt"
   local rc=$?
   # The journal must be queryable whatever the sweep's outcome (a timeout
   # partial still journals everything it did). No --check here: the strict
   # funnel-vs-metrics reconciliation runs in the CI bench-smoke job.
-  ./build/tools/abg_inspect funnel /root/repo/batch_search.journal || return $?
+  ./build/tools/abg_inspect funnel "$ROOT/batch_search.journal" || return $?
   # Per-kernel cost attribution: which DTW kernel burned the cells this run.
-  ./build/tools/abg_inspect hotspots /root/repo/batch_search.journal --by kernel || return $?
+  ./build/tools/abg_inspect hotspots "$ROOT/batch_search.journal" --by kernel || return $?
   # A manifest with an unknown key must be rejected with invalid-argument (9)
   # before any job runs.
   echo '{"jobs": [{"traces": ["x.csv"], "timout_s": 5}]}' > "$tmp/typo.json"
@@ -162,7 +165,7 @@ run_stage "batch-sweep" batch_sweep
 asan_pass() {
   cmake -B build-asan -S . -DABG_SANITIZE=address || return $?
   cmake --build build-asan -j || return $?
-  ctest --test-dir build-asan --output-on-failure -j 2>&1 | tee /root/repo/asan_output.txt
+  ctest --test-dir build-asan --output-on-failure -j 2>&1 | tee "$ROOT/asan_output.txt"
 }
 run_stage "asan-tests" asan_pass
 

@@ -103,6 +103,10 @@ obs::Labels job_obs_labels(const JobSpec& spec) {
   return labels;
 }
 
+namespace {
+
+// Fill a finished pipeline job's summary (status, segment and cache totals,
+// convergence series) from out->pipeline.
 void summarize_pipeline(JobResult* out) {
   const synth::SynthesisResult& synthesis = out->pipeline.synthesis;
   out->segments_total = out->pipeline.segments_total;
@@ -122,6 +126,8 @@ void summarize_pipeline(JobResult* out) {
         {static_cast<int>(i), synthesis.iterations[i].best_distance, wall_ms});
   }
 }
+
+}  // namespace
 
 // --- JobHandle ---------------------------------------------------------------
 
@@ -364,7 +370,7 @@ void Engine::run_job(detail::JobInner& job) {
   const std::uint32_t lane =
       obs::tracing_enabled() ? obs::register_lane("job " + job.spec.name) : 0;
   obs::ContextScope lane_scope(obs::SpanContext{lane, 0});
-  obs::TraceSpan span("api.job " + job.spec.name, "api");
+  obs::Span span("api.job " + job.spec.name, "api");
   JobResult& out = job.result;
 
   // Inject the shared infrastructure. The spec's own options stay authoritative
@@ -372,8 +378,7 @@ void Engine::run_job(detail::JobInner& job) {
   // cache, cancellation, and progress plumbing are engine-provided.
   core::PipelineOptions popts = job.spec.pipeline;
   popts.synth.pool = &pool_;
-  popts.synth.shared_cache =
-      (opts_.share_eval_cache && popts.synth.use_eval_cache) ? &cache_ : nullptr;
+  popts.synth.shared_cache = popts.synth.use_eval_cache ? &cache_ : nullptr;
   popts.synth.cancel = &job.token;
 
   // Labeled metric series for this run. The synth layer appends the
@@ -423,7 +428,7 @@ void Engine::run_job(detail::JobInner& job) {
       out.pipeline.synthesis = synth::synthesize(d, segments, popts.synth);
     }
   } else {
-    out.pipeline = core::Abagnale(popts).run(*traces);
+    out.pipeline = core::Abagnale(popts).run(*traces, job.spec.synthesizer);
   }
   if (job.spec.kind == JobSpec::Kind::kPipeline) summarize_pipeline(&out);
   out.seconds = clock.elapsed_seconds();

@@ -17,7 +17,13 @@
 // its own job's tasks (caller-runs), so a driver can never be starved by its
 // peers. Sharing the EvalCache never changes results — entries are exact and
 // keyed by (segment-set fingerprint, canonical handler) — it only converts
-// repeated evaluations in later jobs into lookups.
+// repeated evaluations in later jobs into lookups. Every job of an Engine
+// shares its cache; jobs that must not share one run on separate Engines.
+//
+// A job's refinement stage is the spec's `synthesizer` hook: empty runs the
+// search on this pool, while dist::Coordinator::synthesizer runs the same
+// driver over a worker fleet, so a distributed job gets the same driver
+// thread, progress mirror, trace lane and api.* metrics as a local one.
 #pragma once
 
 #include <atomic>
@@ -47,9 +53,6 @@ struct EngineOptions {
   // size). More drivers improve interleaving for many small jobs; fewer keep
   // per-job wall-clock closer to a standalone run.
   std::size_t max_concurrent_jobs = 0;
-  // Share one EvalCache across all jobs (bit-identical results either way;
-  // off restores fully isolated per-job caches).
-  bool share_eval_cache = true;
 };
 
 enum class JobState { kQueued, kRunning, kDone };

@@ -76,6 +76,13 @@ struct JobSpec {
   // is durable (ISSUE 8). Keep it cheap-ish: it blocks this driver slot.
   std::function<void(const JobResult&)> on_complete;
 
+  // The refinement stage of a kPipeline job over traces without a custom
+  // DSL (the core::Abagnale path), an in-process hook like the two callbacks
+  // above: empty runs synth::synthesize on the engine's pool;
+  // dist::Coordinator supplies the same driver over its worker fleet. No
+  // manifest, CLI or HTTP surface can set it.
+  core::Synthesizer synthesizer;
+
   // --- Builder surface. -----------------------------------------------------
   JobSpec& with_name(std::string n) {
     name = std::move(n);
@@ -132,6 +139,10 @@ struct JobSpec {
   }
   JobSpec& with_completion_callback(std::function<void(const JobResult&)> cb) {
     on_complete = std::move(cb);
+    return *this;
+  }
+  JobSpec& with_synthesizer(core::Synthesizer s) {
+    synthesizer = std::move(s);
     return *this;
   }
   JobSpec& with_kind(Kind k) {
@@ -197,9 +208,5 @@ util::Result<std::vector<trace::Trace>> load_job_traces(const JobSpec& spec);
 // The labels of a job's metric series, the same on every execution path:
 // {job=<name>}, plus {cca=<dsl>} when the spec names its DSL.
 obs::Labels job_obs_labels(const JobSpec& spec);
-
-// Fill a finished pipeline job's summary (status, segment and cache totals,
-// convergence series) from out->pipeline.
-void summarize_pipeline(JobResult* out);
 
 }  // namespace abg::api

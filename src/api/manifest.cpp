@@ -335,8 +335,8 @@ namespace {
 util::Result<Manifest> parse_manifest_doc(const util::JsonValue& doc) {
   if (!doc.is_object()) return bad("manifest must be a JSON object");
 
-  static const std::set<std::string> top_keys = {"threads", "max_concurrent_jobs",
-                                                "share_eval_cache", "report", "jobs"};
+  static const std::set<std::string> top_keys = {"threads", "max_concurrent_jobs", "report",
+                                                "jobs"};
   for (const auto& [key, value] : doc.members()) {
     (void)value;
     if (!top_keys.count(key)) return bad("unknown manifest key '" + key + "'");
@@ -346,9 +346,6 @@ util::Result<Manifest> parse_manifest_doc(const util::JsonValue& doc) {
   if (auto st = read_size(doc, "threads", &m.engine.threads); !st.is_ok()) return st;
   if (auto st = read_size(doc, "max_concurrent_jobs", &m.engine.max_concurrent_jobs);
       !st.is_ok()) {
-    return st;
-  }
-  if (auto st = read_bool(doc, "share_eval_cache", &m.engine.share_eval_cache); !st.is_ok()) {
     return st;
   }
   if (auto st = read_string(doc, "report", &m.report_path); !st.is_ok()) return st;

@@ -4,7 +4,6 @@
 //   {
 //     "threads": 8,                  // optional, 0/absent = hardware
 //     "max_concurrent_jobs": 4,     // optional, 0/absent = min(4, threads)
-//     "share_eval_cache": true,     // optional, default true
 //     "report": "report.json",      // optional consolidated-report path
 //     "jobs": [
 //       {

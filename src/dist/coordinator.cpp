@@ -6,8 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "api/engine.hpp"
 #include "api/manifest.hpp"
-#include "core/abagnale.hpp"
 #include "dist/http_client.hpp"
 #include "dist/wire.hpp"
 #include "obs/json.hpp"
@@ -507,62 +507,53 @@ bool spec_is_distributable(const api::JobSpec& spec) {
 
 Coordinator::Coordinator(CoordinatorOptions opts) : opts_(std::move(opts)) {}
 
-api::JobResult Coordinator::run(const api::JobSpec& spec,
-                                const util::CancellationToken* cancel) {
-  util::Stopwatch clock;
-  api::JobResult out;
-  out.name = spec.name;
-  out.kind = spec.kind;
+core::Synthesizer Coordinator::synthesizer(const api::JobSpec& spec) const {
+  return [copts = opts_, spec](const dsl::Dsl& d, const std::vector<trace::Segment>& segments,
+                               const synth::SynthesisOptions& opts) {
+    util::Stopwatch clock;
+    // Workers rebuild the pool from the spec with the DSL resolved (they
+    // never classify); the load reply's fingerprint cross-checks it.
+    api::JobSpec worker_spec = spec;
+    worker_spec.pipeline.dsl_override = d.name;
+    Fleet fleet(copts, synth::segment_set_fingerprint(segments), api::spec_to_json(worker_spec));
+    synth::SynthesisResult r = synth::run_refinement(d, segments, opts, fleet);
+    obs::gauge("dist.workers").set(static_cast<double>(alive_count(fleet)));
+    obs::gauge("dist.shards_reassigned_last_job").set(static_cast<double>(fleet.reassigned));
+    // Wall-clock of the last distributed refinement, for scaling gates: CI
+    // runs the same job on 1 worker and N workers and feeds the two metrics
+    // snapshots to `abg_report --gate dist.job_seconds_last.last=0` (N-worker
+    // must not be slower).
+    obs::gauge("dist.job_seconds_last").set(clock.elapsed_seconds());
+    return r;
+  };
+}
 
-  auto fail = [&](util::Status st) {
+api::JobResult Coordinator::run(const api::JobSpec& spec) {
+  auto rejected = [&](util::Status st) {
+    api::JobResult out;
+    out.name = spec.name;
+    out.kind = spec.kind;
     out.status = std::move(st);
-    out.seconds = clock.elapsed_seconds();
     return out;
   };
-
-  if (opts_.workers.empty()) return fail(invalid("no workers configured"));
+  if (opts_.workers.empty()) return rejected(invalid("no workers configured"));
   if (spec.kind != api::JobSpec::Kind::kPipeline) {
-    return fail(invalid("distributed mode supports pipeline jobs only"));
+    return rejected(invalid("distributed mode supports pipeline jobs only"));
   }
   if (!spec.segments.empty() || !spec.traces.empty() || spec.custom_dsl) {
-    return fail(invalid(
+    return rejected(invalid(
         "distributed mode needs trace paths (pre-segmented input, in-memory traces, and "
         "custom DSL objects cannot be shipped to workers)"));
   }
-  if (auto st = spec.validate(); !st.is_ok()) return fail(st);
-
-  auto traces = api::load_job_traces(spec);
-  if (!traces.ok()) return fail(traces.status());
-
-  // The pipeline runs here exactly as in api::Engine — same DSL choice, same
-  // segment pool, same refinement driver, same obs labels — except that the
-  // driver's bucket passes go to the worker fleet.
-  core::PipelineOptions popts = spec.pipeline;
-  popts.synth.cancel = cancel;
-  popts.synth.obs_labels = api::job_obs_labels(spec);
-  popts.synth.on_iteration = spec.on_iteration;
-  out.pipeline = core::Abagnale(popts).run(
-      *traces, [&](const dsl::Dsl& d, const std::vector<trace::Segment>& segments,
-                   const synth::SynthesisOptions& opts) {
-        // Workers rebuild the pool from the spec with the DSL resolved (they
-        // never classify); the load reply's fingerprint cross-checks it.
-        api::JobSpec worker_spec = spec;
-        worker_spec.pipeline.dsl_override = d.name;
-        Fleet fleet(opts_, synth::segment_set_fingerprint(segments),
-                    api::spec_to_json(worker_spec));
-        synth::SynthesisResult r = synth::run_refinement(d, segments, opts, fleet);
-        obs::gauge("dist.workers").set(static_cast<double>(alive_count(fleet)));
-        obs::gauge("dist.shards_reassigned_last_job").set(static_cast<double>(fleet.reassigned));
-        return r;
-      });
-  api::summarize_pipeline(&out);
-  out.seconds = clock.elapsed_seconds();
-  // Wall-clock of the last distributed job, for scaling gates: CI runs the
-  // same job on 1 worker and N workers and feeds the two metrics snapshots
-  // to `abg_report --gate dist.job_seconds_last.last=0` (N-worker must not
-  // be slower).
-  obs::gauge("dist.job_seconds_last").set(out.seconds);
-  return out;
+  // An api::Engine job like any other, so validation, trace loading, DSL
+  // choice, the segment pool, obs labels and the result summary are the
+  // Engine's; only the refinement stage runs on the fleet.
+  api::Engine engine({.threads = 1, .max_concurrent_jobs = 1});
+  api::JobSpec job = spec;
+  job.with_synthesizer(synthesizer(spec));
+  auto handle = engine.submit(std::move(job));
+  if (!handle.ok()) return rejected(handle.status());
+  return handle->wait();
 }
 
 }  // namespace abg::dist

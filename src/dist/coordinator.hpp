@@ -25,10 +25,10 @@
 // final winner is unchanged. A worker once declared dead is never reused —
 // a slow-but-alive straggler holds state the coordinator no longer trusts.
 //
-// Before the driver starts, Coordinator::run loads the traces, picks the DSL
-// and builds the segment pool with the code core::Abagnale::run uses;
-// workers rebuild the pool from the spec and the coordinator cross-checks
-// its fingerprint.
+// A distributed job is an api::Engine job whose refinement stage is
+// Coordinator::synthesizer: the Engine loads the traces, picks the DSL and
+// builds the segment pool as for any job; workers rebuild the pool from the
+// spec and the coordinator cross-checks its fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "api/job.hpp"
-#include "util/cancellation.hpp"
+#include "core/abagnale.hpp"
 #include "util/result.hpp"
 
 namespace abg::dist {
@@ -51,8 +51,8 @@ struct WorkerEndpoint {
 util::Result<std::vector<WorkerEndpoint>> parse_worker_endpoints(const std::string& list);
 
 // True when Coordinator::run accepts `spec`: a kPipeline job over trace
-// *paths* only. serve::Service uses this to route each submitted job between
-// the local engine and the worker fleet.
+// *paths* only. serve::Service uses this to pick which submitted jobs get
+// the fleet's synthesizer.
 bool spec_is_distributable(const api::JobSpec& spec);
 
 struct CoordinatorOptions {
@@ -70,15 +70,20 @@ class Coordinator {
  public:
   explicit Coordinator(CoordinatorOptions opts);
 
-  // Run one job distributed. Mirrors api::Engine's result contract: errors
-  // (ineligible spec, all workers lost, corrupt checkpoint) come back in
-  // JobResult::status, interrupts as partial results. Eligible jobs are
-  // kPipeline over trace *paths* — pre-segmented input, in-memory traces,
-  // and custom DSL objects cannot be shipped to a worker by value and are
-  // rejected with kInvalidArgument.
-  api::JobResult run(const api::JobSpec& spec, const util::CancellationToken* cancel = nullptr);
+  // The refinement stage of `spec` over this worker fleet, for
+  // JobSpec::with_synthesizer: synth::run_refinement with the remote pass
+  // executor. It holds copies of the options and the spec, so it may outlive
+  // this Coordinator. Sets the dist.workers, dist.shards_reassigned_last_job
+  // and dist.job_seconds_last gauges when the refinement ends.
+  core::Synthesizer synthesizer(const api::JobSpec& spec) const;
 
-  const CoordinatorOptions& options() const { return opts_; }
+  // Run one job distributed on a one-driver api::Engine, with its result
+  // contract: errors (ineligible spec, all workers lost, corrupt checkpoint)
+  // come back in JobResult::status, interrupts as partial results. Eligible
+  // jobs are kPipeline over trace *paths* — pre-segmented input, in-memory
+  // traces, and custom DSL objects cannot be shipped to a worker by value and
+  // are rejected with kInvalidArgument.
+  api::JobResult run(const api::JobSpec& spec);
 
  private:
   CoordinatorOptions opts_;

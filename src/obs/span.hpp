@@ -1,8 +1,8 @@
 // Hierarchical RAII spans with *explicit* context propagation, layered on the
-// Chrome trace-event recorder. A Span is a TraceSpan that additionally knows
-// (a) which trace lane it belongs to (lane == Perfetto pid, so each Engine
-// job renders as its own process track) and (b) which span encloses it
-// (parent id, recorded in the event args), giving per-job/per-bucket/
+// Chrome trace-event recorder. A Span records one complete trace event and
+// knows (a) which trace lane it belongs to (lane == Perfetto pid, so each
+// Engine job renders as its own process track) and (b) which span encloses
+// it (parent id, recorded in the event args), giving per-job/per-bucket/
 // per-iteration flame graphs from one batch process.
 //
 // Context crosses threads by value, never by ambient thread-local alone: the

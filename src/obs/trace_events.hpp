@@ -1,10 +1,10 @@
 // Chrome trace-event recorder (chrome://tracing / Perfetto "JSON trace
 // format", complete events, ph="X"). Disabled by default: a disarmed
-// TraceSpan costs one relaxed atomic load, so instrumentation can live
+// Span costs one relaxed atomic load, so instrumentation can live
 // permanently on the refinement loop and thread pool.
 //
 //   obs::set_tracing_enabled(true);
-//   { obs::TraceSpan span("score bucket reno", "synth"); ... }
+//   { obs::Span span("score bucket reno", "synth"); ... }
 //   obs::write_trace_json("t.json");   // open in ui.perfetto.dev
 //
 // Events carry a lane (Perfetto pid): lane 0 / pid 1 is the process lane,
@@ -19,9 +19,6 @@
 #include "obs/span.hpp"
 
 namespace abg::obs {
-
-// TraceSpan predates Span; it is the same type. New code should say Span.
-using TraceSpan = Span;
 
 // Arm/disarm span recording process-wide. Spans already open keep the state
 // they saw at construction.

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -342,29 +341,18 @@ obs::HttpResponse Service::handle_delete(const obs::HttpRequest& req) {
   }
 
   api::JobHandle handle;
-  std::shared_ptr<util::CancellationToken> dist_tok;
-  bool running = false;
   {
     std::lock_guard lk(mu_);
     const auto it = handles_.find(id);
-    const auto dit = dist_tokens_.find(id);
     if (it != handles_.end()) {
       handle = it->second;
-      running = true;
-    } else if (dit != dist_tokens_.end()) {
-      dist_tok = dit->second;
-      running = true;
     } else {
       // Between queue and engine (the dispatcher has it): flag it so the
       // dispatcher cancels right after submit.
       cancel_requested_.insert(id);
     }
   }
-  if (dist_tok) {
-    dist_tok->cancel();
-  } else if (running) {
-    handle.cancel();
-  }
+  if (handle.valid()) handle.cancel();
 
   obs::JsonWriter w;
   w.begin_object();
@@ -480,9 +468,9 @@ void Service::dispatch_one(const std::string& id) {
   if (auto st = store_.record_running(id); !st.is_ok()) {
     ABG_WARN("job %s: running record failed: %s", id.c_str(), st.to_string().c_str());
   }
+  // A fleet job is an engine job whose refinement passes run on the workers.
   if (coordinator_ && dist::spec_is_distributable(spec)) {
-    dispatch_distributed(id, std::move(spec));
-    return;
+    spec.with_synthesizer(coordinator_->synthesizer(spec));
   }
   spec.with_completion_callback(
       [this, id](const api::JobResult& r) { on_job_complete(id, r); });
@@ -511,41 +499,6 @@ void Service::dispatch_one(const std::string& id) {
     cancel_now = cancel_requested_.erase(id) > 0;
   }
   if (cancel_now) handle->cancel();
-}
-
-// Distributed jobs hold no engine driver slot, but they still count against
-// active_jobs_ so the concurrency gate and drain see them; their lifecycle
-// (running record, terminal record, cancel) is byte-for-byte the local one.
-void Service::dispatch_distributed(const std::string& id, api::JobSpec spec) {
-  auto tok = std::make_shared<util::CancellationToken>();
-  auto finished = std::make_shared<std::atomic<bool>>(false);
-  bool cancel_now = false;
-  std::vector<DistThread> done;
-  {
-    std::lock_guard lk(mu_);
-    ++active_jobs_;
-    dist_tokens_[id] = tok;
-    cancel_now = cancel_requested_.erase(id) > 0;
-    auto running = std::partition(dist_threads_.begin(), dist_threads_.end(),
-                                  [](const DistThread& t) { return !t.finished->load(); });
-    std::move(running, dist_threads_.end(), std::back_inserter(done));
-    dist_threads_.erase(running, dist_threads_.end());
-  }
-  // A finished thread has already recorded its job; joining it never waits
-  // on a search.
-  for (auto& t : done) t.thread.join();
-  if (cancel_now) tok->cancel();
-  std::thread th([this, id, tok, finished, spec = std::move(spec)] {
-    const api::JobResult r = coordinator_->run(spec, tok.get());
-    {
-      std::lock_guard lk(mu_);
-      dist_tokens_.erase(id);
-    }
-    on_job_complete(id, r);
-    finished->store(true);
-  });
-  std::lock_guard lk(mu_);
-  dist_threads_.push_back({std::move(th), std::move(finished)});
 }
 
 void Service::on_job_complete(const std::string& id, const api::JobResult& r) {
@@ -616,35 +569,10 @@ void Service::drain_and_stop() {
              std::lock_guard lk(mu_);
              return active_jobs_;
            }());
+  // Running jobs park via on_complete: kCancelled while draining becomes a
+  // suspended record.
   draining_.store(true, std::memory_order_release);
-  pending_.close();
-  slot_cv_.notify_all();
-  // Dispatcher first: it drains the remaining queued ids into "suspended"
-  // records and exits. Only then tear down the engine, so the dispatcher can
-  // never touch a dead engine pointer.
-  if (dispatcher_.joinable()) dispatcher_.join();
-  {
-    // Distributed jobs park the same way engine jobs do: cancel the
-    // coordinator token, let its thread run on_job_complete (kCancelled
-    // while draining -> a suspended record), then join.
-    std::vector<DistThread> threads;
-    {
-      std::lock_guard lk(mu_);
-      for (auto& [id, tok] : dist_tokens_) tok->cancel();
-      threads.swap(dist_threads_);
-    }
-    for (auto& t : threads) t.thread.join();
-  }
-  if (engine_) {
-    engine_->cancel_all();
-    engine_.reset();  // waits for drivers; running jobs park via on_complete
-  }
-  store_.close();  // WAL fsync'd per record; close releases the fd
-  if (lock_fd_ >= 0) {
-    ::close(lock_fd_);
-    lock_fd_ = -1;
-  }
-  stopped_ = true;
+  teardown();
 }
 
 void Service::abandon_for_test() {
@@ -653,23 +581,21 @@ void Service::abandon_for_test() {
   // WAL freezes exactly as it was. Cancellation only speeds up the teardown;
   // because `abandoned_` is set first, on_job_complete records nothing.
   abandoned_.store(true, std::memory_order_release);
+  teardown();
+}
+
+void Service::teardown() {
   pending_.close();
   slot_cv_.notify_all();
+  // Dispatcher first: it drains the remaining queued ids (into "suspended"
+  // records when draining) and exits. Only then tear down the engine, so the
+  // dispatcher can never touch a dead engine pointer.
   if (dispatcher_.joinable()) dispatcher_.join();
-  {
-    std::vector<DistThread> threads;
-    {
-      std::lock_guard lk(mu_);
-      for (auto& [id, tok] : dist_tokens_) tok->cancel();
-      threads.swap(dist_threads_);
-    }
-    for (auto& t : threads) t.thread.join();
-  }
   if (engine_) {
     engine_->cancel_all();
-    engine_.reset();
+    engine_.reset();  // waits for drivers; each running job ends in on_complete
   }
-  store_.close();
+  store_.close();  // WAL fsync'd per record; close releases the fd
   if (lock_fd_ >= 0) {
     ::close(lock_fd_);
     lock_fd_ = -1;

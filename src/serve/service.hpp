@@ -48,7 +48,6 @@
 #include "serve/admission.hpp"
 #include "serve/job_store.hpp"
 #include "serve/queue.hpp"
-#include "util/cancellation.hpp"
 #include "util/status.hpp"
 
 namespace abg::serve {
@@ -62,9 +61,9 @@ struct ServiceOptions {
   // park a driver thread for an unbounded run).
   double max_job_timeout_s = 0.0;
   // Non-empty dist.workers turns on distributed dispatch: jobs that
-  // dist::spec_is_distributable accepts run through a dist::Coordinator over
-  // this worker fleet instead of the local engine (everything else — queueing,
-  // WAL records, checkpoints, cancel — behaves identically).
+  // dist::spec_is_distributable accepts still run on the engine, but their
+  // refinement passes go to this worker fleet (dist::Coordinator::synthesizer).
+  // Queueing, WAL records, checkpoints, cancel and metrics are the same.
   dist::CoordinatorOptions dist;
 };
 
@@ -109,8 +108,10 @@ class Service {
  private:
   void dispatcher_loop();
   void dispatch_one(const std::string& id);
-  void dispatch_distributed(const std::string& id, api::JobSpec spec);
   void on_job_complete(const std::string& id, const api::JobResult& r);
+  // Shared end of drain_and_stop and abandon_for_test: close the queue, join
+  // the dispatcher, cancel and join the engine's jobs, close the store.
+  void teardown();
   std::string jobs_list_json() const;
 
   ServiceOptions opts_;
@@ -132,17 +133,7 @@ class Service {
   std::condition_variable slot_cv_;  // a driver slot freed / draining began
   std::size_t active_jobs_ = 0;
   std::uint64_t next_id_ = 1;
-  std::map<std::string, api::JobHandle> handles_;  // running jobs (local engine)
-  // Jobs running on the worker fleet: per-job cancellation tokens (DELETE
-  // fires them) and the coordinator threads. A finished thread is joined at
-  // the next distributed dispatch (so a long-lived daemon does not keep one
-  // stack per finished job), the rest at drain.
-  std::map<std::string, std::shared_ptr<util::CancellationToken>> dist_tokens_;
-  struct DistThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> finished;
-  };
-  std::vector<DistThread> dist_threads_;
+  std::map<std::string, api::JobHandle> handles_;  // running jobs
   std::set<std::string> cancel_requested_;  // cancel raced dispatch
 };
 

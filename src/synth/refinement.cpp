@@ -533,7 +533,7 @@ SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Seg
     iter_args.key("keep");
     iter_args.value(static_cast<std::int64_t>(k));
     iter_args.end_object();
-    obs::TraceSpan iter_span("synth.iteration", "synth", iter_args.take());
+    obs::Span iter_span("synth.iteration", "synth", iter_args.take());
 
     // Parallel bucket scoring (line 3 of Algorithm 1).
     if (!pass_ok(run_pass(static_cast<std::size_t>(n), iter))) break;
@@ -621,7 +621,7 @@ SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Seg
   // Skipped on interruption: a preempted run must return promptly, and its
   // partial/status flags tell the caller `best` skipped this re-ranking.
   if (!result.partial && !candidates.empty() && !segments.empty()) {
-    obs::TraceSpan val_span("synth.validation", "synth");
+    obs::Span val_span("synth.validation", "synth");
     static auto& c_validated = obs::counter("synth.candidates_validated");
     sampler.grow_to(opts.final_validation_segments);
     std::vector<trace::Segment> validation;

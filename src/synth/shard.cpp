@@ -293,7 +293,7 @@ util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest
       return;
     }
     State& st = states_.at(req.labels[i]);
-    obs::TraceSpan span("score " + st.bucket.label, "synth");
+    obs::Span span("score " + st.bucket.label, "synth");
     // A preempted run that already has a best skips the remaining buckets
     // outright: building their enumerators just to honor the one-sketch
     // minimum would stretch the deadline by seconds.

@@ -100,7 +100,7 @@ void ThreadPool::worker_loop(std::size_t self) {
       // the pool.task span inside it so it nests under the submitting span
       // on the submitting job's lane.
       obs::ContextScope scope(task.ctx);
-      obs::TraceSpan span("pool.task", "pool");
+      obs::Span span("pool.task", "pool");
       task.fn();
       continue;
     }

@@ -221,7 +221,7 @@ TEST(ApiValidation, EngineRejectsBadSpecEagerly) {
 
 TEST(Manifest, ParsesEngineAndJobFields) {
   const char* text = R"({
-    "threads": 8, "max_concurrent_jobs": 2, "share_eval_cache": false,
+    "threads": 8, "max_concurrent_jobs": 2,
     "report": "out.json",
     "jobs": [
       {"name": "reno", "traces": ["a.csv", "b.csv"], "dsl": "reno",
@@ -235,7 +235,6 @@ TEST(Manifest, ParsesEngineAndJobFields) {
   ASSERT_TRUE(m.ok()) << m.status().to_string();
   EXPECT_EQ(m->engine.threads, 8u);
   EXPECT_EQ(m->engine.max_concurrent_jobs, 2u);
-  EXPECT_FALSE(m->engine.share_eval_cache);
   EXPECT_EQ(m->report_path, "out.json");
   ASSERT_EQ(m->jobs.size(), 2u);
 
@@ -271,6 +270,15 @@ TEST(Manifest, RejectsStructuralMistakes) {
   EXPECT_EQ(simd_key.code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(simd_key.to_string().find("unknown job key 'simd'"), std::string::npos)
       << simd_key.to_string();
+  // So is "share_eval_cache": every job of an Engine shares its cache, and
+  // isolation means a second Engine.
+  const auto cache_key =
+      api::parse_manifest(R"({"share_eval_cache": false, "jobs": [{"traces": ["a.csv"]}]})")
+          .status();
+  EXPECT_EQ(cache_key.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(cache_key.to_string().find("unknown manifest key 'share_eval_cache'"),
+            std::string::npos)
+      << cache_key.to_string();
   // Type mismatches.
   EXPECT_EQ(api::parse_manifest(R"({"jobs": [{"traces": "a.csv"}]})").status().code(),
             util::StatusCode::kInvalidArgument);
@@ -431,13 +439,16 @@ TEST(EngineCacheSharing, SecondJobHitsSharedCacheWithIdenticalResults) {
   EXPECT_LT(r2.cache_misses, r1.cache_misses + r1.cache_hits);
 }
 
-TEST(Engine, ShareEvalCacheOffIsolatesJobs) {
+TEST(Engine, SeparateEnginesIsolateEvalCaches) {
   const auto segs = cca_segments("reno", 21);
-  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1, .share_eval_cache = false});
-  auto h1 = engine.submit(quick_job("first", dsl::reno_dsl(), segs));
-  auto h2 = engine.submit(quick_job("second", dsl::reno_dsl(), segs));
-  ASSERT_TRUE(h1.ok() && h2.ok());
+  // Each Engine owns its cache, so one job per Engine is a fully isolated run.
+  api::Engine first({.threads = 2, .max_concurrent_jobs = 1});
+  api::Engine second({.threads = 2, .max_concurrent_jobs = 1});
+  auto h1 = first.submit(quick_job("first", dsl::reno_dsl(), segs));
+  ASSERT_TRUE(h1.ok());
   const api::JobResult& r1 = h1->wait();
+  auto h2 = second.submit(quick_job("second", dsl::reno_dsl(), segs));
+  ASSERT_TRUE(h2.ok());
   const api::JobResult& r2 = h2->wait();
   // Identical jobs, isolated caches: identical cache traffic, no cross-job
   // hits beyond what one run generates for itself.

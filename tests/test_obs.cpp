@@ -268,7 +268,7 @@ TEST(ObsReport, MetricsJsonRoundTripsThroughParser) {
 TEST(ObsTraceEvents, DisabledRecorderStaysEmpty) {
   obs::clear_trace_events();
   obs::set_tracing_enabled(false);
-  { obs::TraceSpan span("ignored", "test"); }
+  { obs::Span span("ignored", "test"); }
   EXPECT_EQ(obs::trace_event_count(), 0u);
 }
 
@@ -276,8 +276,8 @@ TEST(ObsTraceEvents, SpansRoundTripThroughParser) {
   obs::clear_trace_events();
   obs::set_tracing_enabled(true);
   {
-    obs::TraceSpan outer("outer \"span\"", "test");
-    obs::TraceSpan inner("inner", "test", "{\"iter\":1}");
+    obs::Span outer("outer \"span\"", "test");
+    obs::Span inner("inner", "test", "{\"iter\":1}");
     obs::trace_instant_event("marker", "test");
   }
   obs::set_tracing_enabled(false);

@@ -596,6 +596,61 @@ TEST(ServiceHttp, RawCsvBodyBecomesAJobAndBadCsvFailsCleanly) {
   service.drain_and_stop();
 }
 
+// A job the service cannot finish within any test timeout: a deeper sketch
+// space than quick_spec_json's and no iteration cap to speak of.
+std::string endless_spec_json() {
+  return std::string("{\"traces\":[\"") + reno_csv() +
+         "\"],\"dsl\":\"reno\",\"seed\":5,\"max_iterations\":1000,"
+         "\"initial_samples\":16,\"concretize_budget\":64,\"max_depth\":4,"
+         "\"max_nodes\":7,\"max_holes\":2,\"timeout_s\":600}";
+}
+
+// DELETE of a running job cancels it through the engine, whether its
+// refinement runs in process or on a worker fleet.
+TEST(ServiceHttp, DeleteCancelsARunningJob) {
+  for (const bool fleet : {false, true}) {
+    SCOPED_TRACE(fleet ? "one-worker fleet" : "local");
+    dist::Worker worker;
+    obs::StatusServer worker_server;  // declared after worker: stops before it dies
+    const std::string dir = fresh_dir(fleet ? "delete_fleet" : "delete_local");
+    ServiceOptions opts = quick_service_opts(dir);
+    if (fleet) {
+      worker.mount(worker_server);
+      std::string err;
+      ASSERT_TRUE(worker_server.start(0, &err)) << err;
+      opts.dist.workers = {{"127.0.0.1", worker_server.port()}};
+    }
+    Service service(opts);
+    ASSERT_TRUE(service.start().is_ok());
+    obs::StatusServer server;
+    service.mount(server);
+    std::string err;
+    ASSERT_TRUE(server.start(0, &err)) << err;
+
+    const std::string resp = http_post(server.port(), "/jobs", endless_spec_json());
+    ASSERT_NE(resp.find("HTTP/1.1 202"), std::string::npos) << resp;
+    const std::string id = json_field(body_of(resp), "id");
+    ASSERT_TRUE(wait_for([&] {
+      JobRecord rec;
+      return service.store().lookup(id, &rec) && rec.phase == JobPhase::kRunning;
+    }));
+
+    const std::string del = http_request(
+        server.port(), "DELETE /jobs/" + id + " HTTP/1.1\r\nHost: x\r\n\r\n");
+    ASSERT_NE(del.find("HTTP/1.1 202"), std::string::npos) << del;
+    EXPECT_EQ(json_field(body_of(del), "state"), "cancelling");
+
+    JobRecord rec;
+    ASSERT_TRUE(wait_terminal(service, id, &rec, 60.0));
+    EXPECT_EQ(rec.phase, JobPhase::kCancelled) << job_phase_name(rec.phase);
+    const std::string status = http_get(server.port(), "/jobs/" + id);
+    EXPECT_EQ(json_field(body_of(status), "state"), "cancelled");
+
+    server.stop();
+    service.drain_and_stop();
+  }
+}
+
 // --- Crash and drain recovery ------------------------------------------------
 
 // The tentpole guarantee: kill -9 mid-refinement, restart on the same state
@@ -725,11 +780,10 @@ long vm_size_kb() {
   return -1;
 }
 
-// Each distributed job runs on its own coordinator thread. A long-lived
-// daemon must join finished ones as it goes: an unjoined thread keeps its
-// whole stack (8 MB by default) mapped until drain. The jobs name a missing
-// trace file, so each coordinator thread fails fast and nothing but thread
-// stacks can move VmSize.
+// Distributed jobs run on the engine's fixed driver threads, so a long-lived
+// daemon maps no new thread stack (8 MB by default) per job. The jobs name a
+// missing trace file, so each fails fast and nothing but thread stacks
+// could move VmSize.
 TEST(ServeDist, FinishedCoordinatorThreadsAreReapedSoVmSizeStaysFlat) {
   dist::Worker worker;
   obs::StatusServer worker_server;  // declared after worker: stops before it dies
@@ -763,10 +817,49 @@ TEST(ServeDist, FinishedCoordinatorThreadsAreReapedSoVmSizeStaysFlat) {
   constexpr int kJobs = 8;
   run_jobs(kJobs);
   const long growth_kb = vm_size_kb() - before_kb;
-  // Without reaping this grows by one thread stack per job. Allow two stacks
-  // of slack for a thread that finishes just after the next dispatch.
+  // A thread per job would grow this by one stack per job. Allow two stacks
+  // of slack.
   EXPECT_LT(growth_kb, 2 * 8192) << "VmSize grew " << growth_kb << " kB over " << kJobs
                                  << " distributed jobs";
+  service.drain_and_stop();
+}
+
+// A fleet job served by the daemon is an api::Engine job: it shows up in
+// the Engine's completion counter and per-job timing gauge like a local one.
+TEST(ServeDist, DistributedJobIsAnEngineJob) {
+  dist::Worker worker;
+  obs::StatusServer worker_server;  // declared after worker: stops before it dies
+  worker.mount(worker_server);
+  std::string err;
+  ASSERT_TRUE(worker_server.start(0, &err)) << err;
+
+  const std::string dir = fresh_dir("dist_engine");
+  ServiceOptions opts = quick_service_opts(dir);
+  opts.dist.workers = {{"127.0.0.1", worker_server.port()}};
+  Service service(opts);
+  ASSERT_TRUE(service.start().is_ok());
+
+  auto& completed = obs::counter("api.jobs_completed");
+  auto& passes = obs::counter("dist.passes");
+  const std::uint64_t completed_before = completed.value();
+  const std::uint64_t passes_before = passes.value();
+  const auto resp =
+      service.handle_submit(obs::HttpRequest{"POST", "/jobs", "", {}, quick_spec_json()});
+  ASSERT_EQ(resp.code, 202) << resp.body;
+  const std::string id = json_field(resp.body, "id");
+  JobRecord rec;
+  ASSERT_TRUE(wait_terminal(service, id, &rec));
+  ASSERT_EQ(rec.phase, JobPhase::kDone) << rec.error;
+
+  EXPECT_GT(passes.value(), passes_before);  // the refinement ran on the worker
+  EXPECT_EQ(completed.value(), completed_before + 1);
+  // The Engine sets the gauge to the job's own JobResult::seconds, so an
+  // earlier job under the same id cannot pass for this one.
+  auto doc = util::parse_json(read_file(service.store().result_path(id)));
+  ASSERT_TRUE(doc.ok());
+  const double seconds = doc->find("seconds")->as_double();
+  EXPECT_GT(seconds, 0.0);
+  EXPECT_EQ(obs::gauge("api.job.seconds", {{"job", id}, {"cca", "reno"}}).last(), seconds);
   service.drain_and_stop();
 }
 
