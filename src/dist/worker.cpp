@@ -84,6 +84,8 @@ void Worker::mount(obs::StatusServer& server) {
                [this](const obs::HttpRequest& req) { return handle_status(req); });
   server.route("POST", "/shard/restore",
                [this](const obs::HttpRequest& req) { return handle_restore(req); });
+  server.route("POST", "/shard/cancel",
+               [this](const obs::HttpRequest& req) { return handle_cancel(req); });
   server.route("POST", "/shard/quit",
                [this](const obs::HttpRequest& req) { return handle_quit(req); });
 }
@@ -235,7 +237,8 @@ obs::HttpResponse Worker::handle_iterate(const obs::HttpRequest& req) {
   pass.labels = std::move(labels);
   pass.target = static_cast<std::size_t>(target);
   pass.working = std::move(working);
-  pass.cancel = &cancel_;
+  pass_cancel_ = std::make_unique<util::CancellationToken>(&cancel_);
+  pass.cancel = pass_cancel_.get();
   pass_thread_ = std::thread([this, pass = std::move(pass)] {
     auto r = engine_->run_pass(pass);
     std::lock_guard inner(mu_);
@@ -345,6 +348,31 @@ obs::HttpResponse Worker::handle_restore(const obs::HttpRequest& req) {
   w.begin_object();
   w.key("adopted");
   w.value(static_cast<std::uint64_t>(states.size()));
+  w.end_object();
+  return obs::HttpResponse::json(200, w.take());
+}
+
+obs::HttpResponse Worker::handle_cancel(const obs::HttpRequest& req) {
+  util::JsonValue doc;
+  obs::HttpResponse err;
+  if (!parse_body(req, &doc, &err)) return err;
+  std::uint64_t epoch = 0;
+  if (!read_u64_field(doc, "epoch", &epoch, &err)) return err;
+
+  std::lock_guard lk(mu_);
+  if (state_ != State::kEmpty && epoch != epoch_) {
+    return obs::error_response(409, "conflict", "epoch mismatch");
+  }
+  const bool running = state_ == State::kBusy;
+  if (running) {
+    pass_cancel_->cancel();
+    static auto& c_cancelled = obs::counter("dist.worker.passes_cancelled");
+    c_cancelled.add();
+  }
+  obs::JsonWriter w;
+  w.begin_object();
+  w.key("cancelled");
+  w.value(running);
   w.end_object();
   return obs::HttpResponse::json(200, w.take());
 }

@@ -10,11 +10,14 @@
 //                        states (fresh ones for labels without a state).
 //                        Replies with the segment-pool fingerprint so the
 //                        coordinator can verify both sides derived the same
-//                        pool.
+//                        pool. Answers 409 busy while a pass runs.
 //   POST /shard/iterate  {epoch, pass_id, target, buckets, working}  start
 //                        one refinement pass in the background; replies 202
 //                        immediately (the status server is single-threaded,
 //                        so a pass must never run inline). 409 while busy.
+//   POST /shard/cancel   {epoch}  stop the running pass (its coordinator
+//                        gave it up); it ends with best-so-far after at most
+//                        one sketch per bucket in progress. A no-op when idle.
 //   GET  /shard/status   heartbeat + pass outcome: state machine
 //                        empty -> idle -> busy -> done, the finished pass's
 //                        post-pass bucket checkpoints, and cache tallies.
@@ -60,6 +63,7 @@ class Worker {
   obs::HttpResponse handle_iterate(const obs::HttpRequest& req);
   obs::HttpResponse handle_status(const obs::HttpRequest& req);
   obs::HttpResponse handle_restore(const obs::HttpRequest& req);
+  obs::HttpResponse handle_cancel(const obs::HttpRequest& req);
   obs::HttpResponse handle_quit(const obs::HttpRequest& req);
 
   // Join the finished pass thread if any (mu_ must be held by caller logic
@@ -80,7 +84,10 @@ class Worker {
   std::vector<synth::BucketCheckpoint> pass_result_;
   util::Status pass_status_;
 
-  util::CancellationToken cancel_;
+  util::CancellationToken cancel_;  // fired by quit and the destructor
+  // The running pass's token, linked to cancel_; replaced only once the
+  // pass thread is joined.
+  std::unique_ptr<util::CancellationToken> pass_cancel_;
   std::atomic<bool> quit_{false};
 };
 

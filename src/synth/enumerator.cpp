@@ -322,8 +322,15 @@ struct Encoding {
     }
   }
 
-  dsl::ExprPtr decode(const z3::model& m, std::size_t i, int& next_hole) {
-    const int v = m.eval(prod[i], true).get_numeral_int();
+  // Every node's production in model m, read once for decode and block.
+  std::vector<int> read(const z3::model& m) {
+    std::vector<int> v(node_total);
+    for (std::size_t i = 0; i < node_total; ++i) v[i] = m.eval(prod[i], true).get_numeral_int();
+    return v;
+  }
+
+  dsl::ExprPtr decode(const std::vector<int>& prods, std::size_t i, int& next_hole) {
+    const int v = prods[i];
     if (v == 0) return nullptr;
     if (v >= 1 && v < ids.op_base) {
       if (dsl.allow_constants && v == ids.hole_id) return dsl::hole(next_hole++);
@@ -332,18 +339,16 @@ struct Encoding {
     const dsl::Op o = dsl.ops[static_cast<std::size_t>(v - ids.op_base)];
     std::vector<dsl::ExprPtr> kids;
     for (int k = 0; k < dsl::op_arity(o); ++k) {
-      auto c = decode(m, child(i, k), next_hole);
+      auto c = decode(prods, child(i, k), next_hole);
       if (!c) return nullptr;  // malformed model; should not happen
       kids.push_back(std::move(c));
     }
     return dsl::node(o, std::move(kids));
   }
 
-  void block(const z3::model& m) {
+  void block(const std::vector<int>& prods) {
     z3::expr clause = ctx.bool_val(false);
-    for (std::size_t i = 0; i < node_total; ++i) {
-      clause = clause || prod[i] != m.eval(prod[i], true);
-    }
+    for (std::size_t i = 0; i < node_total; ++i) clause = clause || prod[i] != prods[i];
     solver.add(clause);
   }
 
@@ -449,6 +454,14 @@ struct SketchEnumerator::Impl {
     static const bool mmap_threshold_fixed = mallopt(M_MMAP_THRESHOLD, 1 << 20) == 1;
     (void)mmap_threshold_fixed;
 #endif
+    // Z3 compacts every model it builds by default, work a model that is read
+    // once, node by node, never needs. A global parameter, so it is set once,
+    // before the first context exists; the models' values are the same.
+    static const bool models_uncompacted = [] {
+      z3::set_param("model.compact", false);
+      return true;
+    }();
+    (void)models_uncompacted;
     obs::Timer t(h_build);
     enc = std::make_unique<Encoding>(dsl, opts, opts.max_depth.value_or(dsl.max_depth), max_nodes);
     c_built.add();
@@ -521,12 +534,12 @@ struct SketchEnumerator::Impl {
         }
         continue;
       }
-      const z3::model m = enc->solver.get_model();
+      const std::vector<int> prods = enc->read(enc->solver.get_model());
       ++models;
       c_models.add();
       int next_hole = 0;
-      dsl::ExprPtr sketch = enc->decode(m, 0, next_hole);
-      enc->block(m);
+      dsl::ExprPtr sketch = enc->decode(prods, 0, next_hole);
+      enc->block(prods);
       if (!sketch) continue;
       // Richer syntactic filter + commutative dedup (the post-filter half of
       // the paper's sympy-based non-simplifiability check).

@@ -422,6 +422,7 @@ TEST(Dist, MalformedProtocolMessagesAnswerParseErrorEnvelopes) {
        "{\"epoch\":1,\"pass_id\":1,\"target\":4,\"buckets\":[\"{}\"],\"working\":[0.5]}"},
       {"/shard/iterate",
        "{\"epoch\":1,\"pass_id\":1,\"target\":1e300,\"buckets\":[\"{}\"]}"},
+      {"/shard/cancel", "{\"epoch\":0.5}"},
   };
   for (const auto& [route, body] : bad_numbers) {
     r = post(fleet, route, body);
@@ -477,6 +478,14 @@ TEST(Dist, MalformedProtocolMessagesAnswerParseErrorEnvelopes) {
                "\"best_distance\":\"inf\",\"best_sketch\":\"\",\"best_handler\":\"\"}]}");
   EXPECT_EQ(r.compare(0, 3, "400"), 0) << r;
   EXPECT_NE(r.find("parse-error"), std::string::npos) << r;
+
+  // Cancel with no pass running changes nothing; another epoch's cancel is
+  // refused.
+  r = post(fleet, "/shard/cancel", "{\"epoch\":1}");
+  EXPECT_EQ(r.compare(0, 3, "200"), 0) << r;
+  EXPECT_NE(r.find("\"cancelled\":false"), std::string::npos) << r;
+  r = post(fleet, "/shard/cancel", "{\"epoch\":2}");
+  EXPECT_EQ(r.compare(0, 3, "409"), 0) << r;
 
   // Still serviceable: status answers idle with the loaded epoch.
   auto status = dist::http_request("127.0.0.1", fleet.port(0), "GET", "/shard/status", "", 10.0);
