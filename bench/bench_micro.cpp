@@ -5,6 +5,9 @@
 // whole-space query.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
+
 #include "distance/distance.hpp"
 #include "dsl/bytecode.hpp"
 #include "dsl/eval.hpp"
@@ -17,6 +20,7 @@
 #include "synth/enumerator.hpp"
 #include "synth/eval_cache.hpp"
 #include "synth/replay.hpp"
+#include "trace/trace_io.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -234,6 +238,54 @@ void BM_UnitCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnitCheck);
+
+// The trace CSV codec on the serve-smoke trace (Reno, 10 Mb/s, 40 ms, 8 s):
+// what every served job and every fleet worker pays to load its trace.
+trace::Trace serve_smoke_trace() {
+  trace::Environment env;
+  env.bandwidth_bps = 10e6;
+  env.rtt_s = 0.040;
+  env.duration_s = 8.0;
+  return net::run_connection("reno", env);
+}
+
+std::string bench_csv_path() {
+  return (std::filesystem::temp_directory_path() / "abg_bench_micro_trace.csv").string();
+}
+
+void BM_TraceCsvSave(benchmark::State& state) {
+  const auto t = serve_smoke_trace();
+  const std::string path = bench_csv_path();
+  for (auto _ : state) {
+    if (auto st = trace::save_csv(t, path); !st.is_ok()) {
+      state.SkipWithError(st.to_string().c_str());
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(t.samples.size()));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_TraceCsvSave)->Unit(benchmark::kMillisecond);
+
+void BM_TraceCsvLoad(benchmark::State& state) {
+  const auto t = serve_smoke_trace();
+  const std::string path = bench_csv_path();
+  if (auto st = trace::save_csv(t, path); !st.is_ok()) {
+    state.SkipWithError(st.to_string().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto loaded = trace::load_csv(path);
+    if (!loaded.ok()) {
+      state.SkipWithError(loaded.status().to_string().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(loaded->samples.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(t.samples.size()));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_TraceCsvLoad)->Unit(benchmark::kMillisecond);
 
 // Enumeration throughput: whole-space vs a single bucket (the §4.4 argument
 // for bucketized solvers).

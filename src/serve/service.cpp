@@ -9,13 +9,12 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "api/manifest.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
+#include "util/csv.hpp"
 #include "util/durable_io.hpp"
 #include "util/log.hpp"
 #include "util/retry.hpp"
@@ -42,15 +41,6 @@ obs::HttpResponse status_error(int http_code, const util::Status& st) {
 obs::HttpResponse shed(int http_code, const std::string& code, const std::string& msg,
                        double retry_after_s) {
   return obs::error_response(http_code, code, msg, std::max(1.0, retry_after_s));
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
 }
 
 // The result document a client fetches from GET /jobs/<id>/result: the
@@ -274,7 +264,7 @@ obs::HttpResponse Service::handle_get(const obs::HttpRequest& req) {
       return obs::HttpResponse::json(202, w.take());
     }
     std::string result;
-    if (read_file(store_.result_path(id), &result)) {
+    if (util::read_file(store_.result_path(id), &result)) {
       return obs::HttpResponse::json(200, result);
     }
     // Terminal without a result file: cancelled before it ever ran, or a
@@ -438,7 +428,7 @@ void Service::dispatcher_loop() {
 
 void Service::dispatch_one(const std::string& id) {
   std::string spec_json;
-  if (!read_file(store_.spec_path(id), &spec_json)) {
+  if (!util::read_file(store_.spec_path(id), &spec_json)) {
     (void)store_.record_terminal(id, JobPhase::kFailed,
                                  "spec file missing: " + store_.spec_path(id), "");
     return;

@@ -1,6 +1,8 @@
 #include "trace/trace_io.hpp"
 
 #include <cstdio>
+#include <string_view>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "util/csv.hpp"
@@ -32,30 +34,44 @@ Status row_error(std::size_t row, const char* what, const std::string& field) {
 }  // namespace
 
 std::string to_csv(const Trace& trace) {
-  util::CsvWriter w;
+  std::string out;
+  // About 150 bytes per sample row; the string grows past this if needed.
+  out.reserve(512 + 160 * trace.samples.size());
   {
-    char meta[256];
-    std::snprintf(meta, sizeof(meta),
-                  "#cca=%s bw=%.17g rtt=%.17g buf=%.17g loss=%.17g seed=%llu dur=%.17g xt=%.17g",
-                  trace.cca_name.c_str(), trace.env.bandwidth_bps, trace.env.rtt_s,
-                  trace.env.buffer_bytes, trace.env.random_loss,
-                  static_cast<unsigned long long>(trace.env.seed), trace.env.duration_s,
-                  trace.env.cross_traffic_bps);
-    w.add_row({meta});
+    // The name goes in unbounded; the numbers fit the buffer (seven at most
+    // 24 characters each, plus their keys).
+    char env[256];
+    std::snprintf(env, sizeof(env),
+                  " bw=%.17g rtt=%.17g buf=%.17g loss=%.17g seed=%llu dur=%.17g xt=%.17g",
+                  trace.env.bandwidth_bps, trace.env.rtt_s, trace.env.buffer_bytes,
+                  trace.env.random_loss, static_cast<unsigned long long>(trace.env.seed),
+                  trace.env.duration_s, trace.env.cross_traffic_bps);
+    util::append_field(&out, "#cca=" + trace.cca_name + env);
+    out += '\n';
   }
-  w.add_row({kColumns});
+  util::append_field(&out, kColumns);
+  out += '\n';
   for (const auto& s : trace.samples) {
-    w.add_row_numeric({s.sig.now, s.sig.mss, s.sig.cwnd, s.sig.inflight, s.sig.acked_bytes,
-                       s.sig.rtt, s.sig.srtt, s.sig.min_rtt, s.sig.max_rtt, s.sig.ack_rate,
-                       s.sig.rtt_gradient, s.sig.time_since_loss, s.cwnd_after, s.ack_seq,
-                       s.is_dup ? 1.0 : 0.0, s.loss_event ? 1.0 : 0.0});
+    const double row[kNumColumns] = {
+        s.sig.now,          s.sig.mss,        s.sig.cwnd,         s.sig.inflight,
+        s.sig.acked_bytes,  s.sig.rtt,        s.sig.srtt,         s.sig.min_rtt,
+        s.sig.max_rtt,      s.sig.ack_rate,   s.sig.rtt_gradient, s.sig.time_since_loss,
+        s.cwnd_after,       s.ack_seq,        s.is_dup ? 1.0 : 0.0, s.loss_event ? 1.0 : 0.0};
+    for (std::size_t c = 0; c < kNumColumns; ++c) {
+      if (c > 0) out += ',';
+      util::append_number(&out, row[c]);
+    }
+    out += '\n';
   }
-  return w.str();
+  return out;
 }
 
-util::Result<Trace> from_csv(const std::string& csv, const LoadOptions& opts) {
-  const auto rows = util::parse_csv(csv);
-  if (rows.size() < 2 || rows[0].empty() || rows[0][0].empty() || rows[0][0][0] != '#') {
+util::Result<Trace> from_csv(std::string_view csv, const LoadOptions& opts) {
+  util::CsvReader reader(csv);
+  std::vector<std::string_view> r;
+  std::string meta;
+  if (reader.next_row(&r)) meta = r[0];
+  if (meta.empty() || meta[0] != '#' || !reader.next_row(&r)) {
     return Status(StatusCode::kParseError, "missing '#cca=...' metadata header");
   }
   Trace t;
@@ -63,7 +79,6 @@ util::Result<Trace> from_csv(const std::string& csv, const LoadOptions& opts) {
     // Parse "#cca=NAME bw=... rtt=... buf=... loss=... seed=... dur=... xt=...".
     // Every field written by to_csv must be present and parse cleanly — a
     // corrupted header used to fabricate bw=0 via atof; now it is rejected.
-    const std::string& meta = rows[0][0];
     auto field = [&meta](const std::string& key) -> std::optional<std::string> {
       const auto pos = meta.find(key + "=");
       if (pos == std::string::npos) return std::nullopt;
@@ -100,13 +115,12 @@ util::Result<Trace> from_csv(const std::string& csv, const LoadOptions& opts) {
   }
   // The column-name row is written as one quoted field; it must match the
   // current schema exactly.
-  if (rows[1].size() != 1 || rows[1][0] != kColumns) {
+  if (r.size() != 1 || r[0] != kColumns) {
     return Status(StatusCode::kParseError, "column header mismatch (corrupted file?)");
   }
   ValidateStats stats;
   static auto& c_dropped = obs::counter("trace.rows_dropped");
-  for (std::size_t i = 2; i < rows.size(); ++i) {
-    const auto& r = rows[i];
+  for (std::size_t i = 2; reader.next_row(&r); ++i) {
     if (r.size() != kNumColumns) {
       if (opts.repair) {
         ++stats.rows_dropped;
@@ -128,7 +142,7 @@ util::Result<Trace> from_csv(const std::string& csv, const LoadOptions& opts) {
     bool bad = false;
     for (std::size_t c = 0; c < kNumColumns; ++c) {
       if (!util::parse_double(r[c], dests[c])) {
-        if (!opts.repair) return row_error(i, "bad numeric field", r[c]);
+        if (!opts.repair) return row_error(i, "bad numeric field", std::string(r[c]));
         bad = true;
         break;
       }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "trace/trace.hpp"
 #include "trace/validate.hpp"
@@ -23,9 +24,10 @@ struct LoadOptions {
 };
 
 // CSV layout: two header lines (metadata, column names) then one row per
-// ACK sample.
+// ACK sample, every value formatted as printf's "%.12g" (DESIGN.md states
+// the contract).
 std::string to_csv(const Trace& trace);
-util::Result<Trace> from_csv(const std::string& csv, const LoadOptions& opts = {});
+util::Result<Trace> from_csv(std::string_view csv, const LoadOptions& opts = {});
 
 util::Status save_csv(const Trace& trace, const std::string& path);
 util::Result<Trace> load_csv(const std::string& path, const LoadOptions& opts = {});

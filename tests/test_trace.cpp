@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "net/simulator.hpp"
 #include "obs/registry.hpp"
 #include "trace/noise.hpp"
 #include "trace/sampler.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/validate.hpp"
+#include "util/rng.hpp"
 #include "util/status.hpp"
 
 namespace abg::trace {
@@ -165,6 +172,18 @@ TEST(TraceIo, CsvRoundTrip) {
   EXPECT_EQ(parsed->samples[5].is_dup, true);
 }
 
+TEST(TraceIo, LongCcaNameRoundTrips) {
+  // A name past the old 256-byte metadata buffer cut the environment fields
+  // off the header, so the saved file no longer loaded.
+  auto t = make_trace(3);
+  t.cca_name = std::string(300, 'c');
+  t.env.cross_traffic_bps = 3e6;
+  auto parsed = from_csv(to_csv(t));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed->cca_name, t.cca_name);
+  EXPECT_EQ(parsed->env.cross_traffic_bps, 3e6);
+}
+
 TEST(TraceIo, RejectsGarbage) {
   auto r = from_csv("not,a,trace\n1,2,3\n");
   EXPECT_FALSE(r.ok());
@@ -268,6 +287,171 @@ TEST(TraceIo, EmptyAfterRepairIsInvalidTrace) {
   auto r = from_csv(to_csv(t), repair);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidTrace);
+}
+
+TEST(TraceIo, StrayCarriageReturnIsABadField) {
+  // Sample 2's rtt field (0.05) becomes "1.0\r5". Only the '\r' of a CRLF
+  // line end is markup; this one is field text, so the field is no number
+  // (a reader that dropped every '\r' loaded it as 1.05).
+  auto csv = to_csv(make_trace(5));
+  std::string crlf;
+  for (const char c : csv) crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  auto from_crlf = from_csv(crlf);
+  ASSERT_TRUE(from_crlf.ok()) << from_crlf.status().to_string();
+  EXPECT_EQ(from_crlf->samples.size(), 5u);
+
+  std::size_t line = 0;
+  for (int n = 0; n < 4; ++n) line = csv.find('\n', line) + 1;
+  std::size_t field = line;
+  for (int c = 0; c < 5; ++c) field = csv.find(',', field) + 1;
+  ASSERT_EQ(csv.compare(field, 5, "0.05,"), 0);
+  csv.replace(field, 4, "1.0\r5");
+  auto strict = from_csv(csv);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), util::StatusCode::kParseError);
+
+  const auto dropped_before = obs::counter("trace.rows_dropped").value();
+  LoadOptions repair;
+  repair.repair = true;
+  auto repaired = from_csv(csv, repair);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_EQ(repaired->samples.size(), 4u);
+  EXPECT_EQ(obs::counter("trace.rows_dropped").value(), dropped_before + 1);
+}
+
+// The serve-smoke trace: 8 s of Reno at 10 Mb/s and 40 ms.
+Trace serve_smoke_trace() {
+  Environment env;
+  env.bandwidth_bps = 10e6;
+  env.rtt_s = 0.040;
+  env.duration_s = 8.0;
+  return net::run_connection("reno", env);
+}
+
+std::vector<double> sample_values(const AckSample& s) {
+  return {s.sig.now,         s.sig.mss,      s.sig.cwnd,         s.sig.inflight,
+          s.sig.acked_bytes, s.sig.rtt,      s.sig.srtt,         s.sig.min_rtt,
+          s.sig.max_rtt,     s.sig.ack_rate, s.sig.rtt_gradient, s.sig.time_since_loss,
+          s.cwnd_after,      s.ack_seq,      s.is_dup ? 1.0 : 0.0, s.loss_event ? 1.0 : 0.0};
+}
+
+// The trace writer that to_csv replaced: snprintf("%.12g") per value and the
+// CsvWriter quoting rule on every field.
+std::string reference_csv(const Trace& t) {
+  auto field = [](const std::string& f) {
+    if (f.find_first_of(",\"\n") == std::string::npos) return f;
+    std::string q = "\"";
+    for (const char c : f) {
+      if (c == '"') q += '"';
+      q += c;
+    }
+    return q + '"';
+  };
+  char meta[256];
+  std::snprintf(meta, sizeof(meta),
+                "#cca=%s bw=%.17g rtt=%.17g buf=%.17g loss=%.17g seed=%llu dur=%.17g xt=%.17g",
+                t.cca_name.c_str(), t.env.bandwidth_bps, t.env.rtt_s, t.env.buffer_bytes,
+                t.env.random_loss, static_cast<unsigned long long>(t.env.seed),
+                t.env.duration_s, t.env.cross_traffic_bps);
+  std::string out = field(meta) + "\n";
+  out += field("now,mss,cwnd,inflight,acked_bytes,rtt,srtt,min_rtt,max_rtt,ack_rate,"
+               "rtt_gradient,time_since_loss,cwnd_after,ack_seq,is_dup,loss_event") +
+         "\n";
+  for (const auto& s : t.samples) {
+    const auto values = sample_values(s);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.12g", values[i]);
+      out += (i > 0 ? "," : "") + field(buf);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+TEST(TraceIo, CsvBytesMatchPrintfReference) {
+  // The serve-smoke trace and Reno in the three §6.1 environments (clean,
+  // 0.2% random loss, 30% cross traffic).
+  std::vector<Trace> traces{serve_smoke_trace()};
+  auto envs = net::default_environments(3, 101);
+  for (auto& e : envs) e.duration_s = 15.0;
+  envs[1].random_loss = 0.002;
+  envs[2].cross_traffic_bps = 0.3 * envs[2].bandwidth_bps;
+  for (auto& t : net::collect_traces("reno", envs)) traces.push_back(std::move(t));
+
+  const std::string path = testing::TempDir() + "/abg_trace_bytes.csv";
+  for (const auto& t : traces) {
+    const std::string want = reference_csv(t);
+    ASSERT_EQ(to_csv(t), want) << t.env.label();
+    ASSERT_TRUE(save_csv(t, path).is_ok());
+    auto loaded = load_csv(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+    ASSERT_EQ(loaded->samples.size(), t.samples.size());
+    EXPECT_EQ(loaded->cca_name, t.cca_name);
+    EXPECT_EQ(bits_of(loaded->env.bandwidth_bps), bits_of(t.env.bandwidth_bps));
+    EXPECT_EQ(bits_of(loaded->env.cross_traffic_bps), bits_of(t.env.cross_traffic_bps));
+    // Each loaded value has the bits strtod gives for the written text.
+    for (std::size_t i = 0; i < t.samples.size(); ++i) {
+      const auto got = sample_values(loaded->samples[i]);
+      const auto written = sample_values(t.samples[i]);
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.12g", written[c]);
+        ASSERT_EQ(bits_of(got[c]), bits_of(std::strtod(buf, nullptr)))
+            << "sample " << i << " column " << c;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// Truncation, bit flips and stray ',' '"' '\r' '\n' in the serve-smoke CSV:
+// every mutant either loads with finite samples or ends in a classified
+// error, in strict and in repair mode alike.
+TEST(TraceIo, MutatedCsvEndsInClassifiedError) {
+  const std::string csv = to_csv(serve_smoke_trace());
+  util::Rng rng(23);
+  const char inserts[] = {',', '"', '\r', '\n'};
+  int loaded = 0;
+  for (int m = 0; m < 2000; ++m) {
+    std::string mutant = csv;
+    for (int k = 1 + static_cast<int>(rng.next_u64() % 3); k > 0 && !mutant.empty(); --k) {
+      const std::size_t at = rng.next_u64() % mutant.size();
+      switch (rng.next_u64() % 3) {
+        case 0:
+          mutant.resize(at);
+          break;
+        case 1:
+          mutant[at] = static_cast<char>(mutant[at] ^ (1 << (rng.next_u64() % 8)));
+          break;
+        default:
+          mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at),
+                        inserts[rng.next_u64() % sizeof(inserts)]);
+      }
+    }
+    LoadOptions opts;
+    opts.repair = m % 2 == 1;
+    auto r = from_csv(mutant, opts);
+    if (!r.ok()) {
+      const auto code = r.status().code();
+      ASSERT_TRUE(code == util::StatusCode::kParseError ||
+                  code == util::StatusCode::kInvalidTrace)
+          << "mutant " << m << ": " << r.status().to_string();
+      continue;
+    }
+    ++loaded;
+    for (const auto& s : r->samples) {
+      for (const double v : sample_values(s)) ASSERT_TRUE(std::isfinite(v)) << "mutant " << m;
+    }
+  }
+  // Repair mode drops a damaged row, so some mutants must still load.
+  EXPECT_GT(loaded, 0);
 }
 
 TEST(Validate, RejectsBadEnvironment) {

@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/retry.hpp"
@@ -149,11 +158,91 @@ TEST(ThreadPool, PropagatesExceptionsThroughFuture) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
+// Every row of `text` through CsvReader, copied out of the reader's views.
+std::vector<std::vector<std::string>> read_rows(std::string_view text) {
+  CsvReader reader(text);
+  std::vector<std::string_view> fields;
+  std::vector<std::vector<std::string>> rows;
+  while (reader.next_row(&fields)) rows.emplace_back(fields.begin(), fields.end());
+  return rows;
+}
+
+// The string-per-field CSV parser CsvReader replaced, kept as the oracle. It
+// dropped every '\r' outside quotes; CsvReader drops only a CRLF's.
+std::vector<std::vector<std::string>> reference_parse_csv(const std::string& content) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  std::string field;
+  bool in_quotes = false;
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    const char c = content[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < content.size() && content[i + 1] == '"') {
+          field += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field += c;
+      }
+    } else if (c == '"') {
+      in_quotes = true;
+    } else if (c == ',') {
+      row.push_back(std::move(field));
+      field.clear();
+    } else if (c == '\n') {
+      row.push_back(std::move(field));
+      field.clear();
+      rows.push_back(std::move(row));
+      row.clear();
+    } else if (c != '\r') {
+      field += c;
+    }
+  }
+  if (!field.empty() || !row.empty()) {
+    row.push_back(std::move(field));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+// The strtod-based parse_double that the from_chars path replaced.
+bool reference_parse_double(const std::string& field, double* out) {
+  if (field.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(field.c_str(), &end);
+  if (end != field.c_str() + field.size()) return false;
+  if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL)) return false;
+  *out = v;
+  return true;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+double double_of(std::uint64_t b) {
+  double v = 0.0;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+std::string printf_g12(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
 TEST(Csv, RoundTripsSimpleRows) {
   CsvWriter w;
   w.add_row({"a", "b", "c"});
   w.add_row({"1", "2", "3"});
-  auto rows = parse_csv(w.str());
+  auto rows = read_rows(w.str());
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2", "3"}));
@@ -162,7 +251,7 @@ TEST(Csv, RoundTripsSimpleRows) {
 TEST(Csv, QuotesFieldsWithSeparators) {
   CsvWriter w;
   w.add_row({"x,y", "plain", "has\"quote"});
-  auto rows = parse_csv(w.str());
+  auto rows = read_rows(w.str());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], "x,y");
   EXPECT_EQ(rows[0][2], "has\"quote");
@@ -171,16 +260,95 @@ TEST(Csv, QuotesFieldsWithSeparators) {
 TEST(Csv, NumericRowsRoundTripPrecisely) {
   CsvWriter w;
   w.add_row_numeric({1.0 / 3.0, 1e-9, 123456789.123});
-  auto rows = parse_csv(w.str());
+  auto rows = read_rows(w.str());
   ASSERT_EQ(rows[0].size(), 3u);
   EXPECT_NEAR(std::stod(rows[0][0]), 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(std::stod(rows[0][1]), 1e-9, 1e-18);
 }
 
 TEST(Csv, ParsesCrlf) {
-  auto rows = parse_csv("a,b\r\nc,d\r\n");
+  auto rows = read_rows("a,b\r\nc,d\r\n");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1][1], "d");
+}
+
+TEST(Csv, KeepsCarriageReturnsThatEndNoLine) {
+  const auto rows = read_rows("1.0\r5,x\r\r\n\"q\r\",y\r");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (std::vector<std::string>{"1.0\r5", "x\r"}));
+  EXPECT_EQ(rows[1], (std::vector<std::string>{"q\r", "y\r"}));
+}
+
+// Random texts over the characters that steer the tokenizer: without a '\r',
+// CsvReader must split them exactly as the parser it replaced did, quoted
+// newlines, unterminated quotes and a last line without "\n" included.
+TEST(Csv, ReaderMatchesReferenceParser) {
+  Rng rng(2024);
+  const char alphabet[] = {'a', '1', ',', '"', '\n'};
+  for (int t = 0; t < 20000; ++t) {
+    std::string text(rng.next_u64() % 24, ' ');
+    for (char& c : text) c = alphabet[rng.next_u64() % sizeof(alphabet)];
+    ASSERT_EQ(read_rows(text), reference_parse_csv(text)) << "text: " << text;
+  }
+}
+
+TEST(Csv, FormatterMatchesPrintfG12) {
+  std::vector<double> values = {
+      0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+      1e-5, 9.99999999999e-6, 0.0001, 9.999999999995e-5, 0.000099999999999949,
+      999999999999.5, 999999999999.49, 1e12, 1e11, 123456789012.0, 1.0 / 3.0,
+      DBL_MAX, -DBL_MAX, DBL_MIN, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(12);
+  for (int i = 0; i < 200000; ++i) values.push_back(double_of(rng.next_u64()));
+  for (int i = 0; i < 50000; ++i) values.push_back(rng.uniform(-1e7, 1e7));
+  for (int i = 0; i < 50000; ++i) values.push_back(rng.uniform());
+  for (const double v : values) {
+    std::string got;
+    append_number(&got, v);
+    ASSERT_EQ(got, printf_g12(v)) << "bits 0x" << std::hex << bits_of(v);
+  }
+}
+
+TEST(Csv, ParseDoubleMatchesStrtodReference) {
+  auto check = [](const std::string& text) -> testing::AssertionResult {
+    double got = 0.0, want = 0.0;
+    const bool ok = parse_double(text, &got);
+    if (ok != reference_parse_double(text, &want)) {
+      return testing::AssertionFailure() << "'" << text << "' accepted: " << ok;
+    }
+    if (ok && bits_of(got) != bits_of(want)) {
+      return testing::AssertionFailure() << "'" << text << "' bits 0x" << std::hex
+                                         << bits_of(got) << " vs 0x" << bits_of(want);
+    }
+    return testing::AssertionSuccess();
+  };
+  for (const char* text : {"", " 1", "+1", "1e400", "-1e400", "1e-400", "4.9e-324", "0x1.8p3",
+                           "inf", "nan", "1.0x", "--1", "1,0", "-0", "1.", ".5", ".", "-",
+                           "1e", "1e+5", "-nan", "-inf", "infinity", "nan(7)", "1.0\r5",
+                           "2.4703282292062328e-324", "1.7976931348623158e308",
+                           "1.7976931348623159e308"}) {
+    ASSERT_TRUE(check(text));
+  }
+  // Random doubles in each format a trace or checkpoint could hold.
+  Rng rng(77);
+  char buf[64];
+  for (int i = 0; i < 100000; ++i) {
+    const double v = i % 2 == 0 ? double_of(rng.next_u64()) : rng.uniform(-1e6, 1e6);
+    for (const char* fmt : {"%.12g", "%.17g", "%a", "%.3e"}) {
+      std::snprintf(buf, sizeof(buf), fmt, v);
+      ASSERT_TRUE(check(buf));
+    }
+  }
+  // Short strings over the characters of a decimal, to hunt for any text the
+  // two parsers accept differently.
+  const char alphabet[] = {'0', '1', '9', '.', '-', '+', 'e', 'E', 'x', ' '};
+  for (int i = 0; i < 50000; ++i) {
+    std::string text(1 + rng.next_u64() % 8, ' ');
+    for (char& c : text) c = alphabet[rng.next_u64() % sizeof(alphabet)];
+    ASSERT_TRUE(check(text));
+  }
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

@@ -24,8 +24,10 @@
 // checkpoints), the WAL is flushed, and the process exits 0. A second
 // signal exits immediately (the WAL is fsync'd per record, so even that is
 // only as bad as kill -9).
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -106,10 +108,13 @@ bool spawn_workers(const char* argv0, int n, const std::string& state_dir,
     pids->push_back(pid);
     port_files.push_back(port_file);
   }
-  // Each worker binds in milliseconds; 10s covers a loaded CI box.
+  // Each worker listens within a few milliseconds, so poll its port file
+  // with a backoff from 0.25 ms up to 20 ms. One 10 s deadline for the whole
+  // fleet covers a loaded CI box.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (int i = 0; i < n; ++i) {
     std::string content;
-    for (int tries = 0; tries < 500; ++tries) {
+    for (useconds_t wait_us = 250;; wait_us = std::min<useconds_t>(2 * wait_us, 20'000)) {
       FILE* f = std::fopen(port_files[i].c_str(), "r");
       if (f != nullptr) {
         char buf[32] = {0};
@@ -127,7 +132,8 @@ bool spawn_workers(const char* argv0, int n, const std::string& state_dir,
         (*pids)[i] = -1;
         return false;
       }
-      ::usleep(20 * 1000);
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      ::usleep(wait_us);
     }
     const long port = content.empty() ? 0 : std::strtol(content.c_str(), nullptr, 10);
     if (port <= 0 || port > 65535) {
