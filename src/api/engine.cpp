@@ -49,6 +49,18 @@ struct JobInner {
     std::atomic<double> elapsed_s{0.0};
   };
   Progress progress;
+
+  // Once the job has ended nothing reads its inputs or callbacks again, but a
+  // handle or the finished-jobs list may pin this record for long after, so
+  // they go now (the §6.1 segment pool alone is 2.6 MB). Keeps what
+  // jobs_snapshot() and JobHandle::name() read.
+  void release_inputs() {
+    std::exchange(spec.traces, {});
+    std::exchange(spec.segments, {});
+    spec.on_iteration = nullptr;
+    spec.on_complete = nullptr;
+    spec.synthesizer = nullptr;
+  }
 };
 
 }  // namespace detail
@@ -355,6 +367,7 @@ void Engine::driver_loop() {
     // waiter released by wait() can rely on its side effects (the serve
     // layer's durable WAL record + result file) already being on disk.
     if (job->spec.on_complete) job->spec.on_complete(job->result);
+    job->release_inputs();
     {
       std::lock_guard lk(job->mu);
       job->done = true;

@@ -468,6 +468,9 @@ struct SketchEnumerator::Impl {
     count_live_producers(+1);
     count = std::make_unique<SketchSpace>(dsl, opts);
     count_ledger();
+    // Counted by the refinement pass (shard.cpp); registered here so that
+    // every export with a producer lists it.
+    obs::counter("synth.streams_rederived");
   }
 
   ~Impl() {

@@ -1,8 +1,10 @@
 #include "synth/shard.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "dsl/parse.hpp"
 #include "obs/journal.hpp"
@@ -40,13 +42,25 @@ EnumeratorOptions bucket_enumerator_options(const SynthesisOptions& opts, const 
   return eopts;
 }
 
+// synth.streams_rederived: leases that had to derive a held prefix again
+// with a fresh producer (a pass re-leasing a dropped bucket, checkpoint
+// resume, worker adoption). Registered with the first producer.
+obs::Counter& streams_rederived() {
+  static auto& c = obs::counter("synth.streams_rederived");
+  return c;
+}
+
 // Check that the sketches st holds are its stream's first ones, producing
 // them if the stream is new. A held sketch that is an equal tree but not the
 // stream's own object is swapped for the stream's, so the next check is a
-// pointer comparison. Counts nothing and journals nothing.
+// pointer comparison. Counts only into synth.streams_rederived, and journals
+// nothing.
 util::Status check_held_sketches(BucketSearchState& st) {
+  bool rederived = false;
   for (std::size_t i = st.enumerator->shared_prefix(st.sketches); i < st.sketches.size(); ++i) {
-    auto s = st.enumerator->at(i);
+    bool produced = false;
+    auto s = st.enumerator->at(i, &produced);
+    if (produced && !std::exchange(rederived, true)) streams_rederived().add();
     if (!s) {
       return util::Status(util::StatusCode::kParseError,
                           "bucket " + st.bucket.label + " holds " +
@@ -78,6 +92,10 @@ util::Status enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptio
   static auto& c_sketches = obs::counter("synth.sketches_enumerated");
   static auto& c_shared = obs::counter("synth.stream_sketches_shared");
   if (st.exhausted || st.sketches.size() >= target) return util::Status::ok();
+  // An interrupted pass takes no new sketch from a bucket that holds some,
+  // so it leases nothing: a dropped bucket would re-derive its whole prefix
+  // only to take none.
+  if (!st.sketches.empty() && stop()) return util::Status::ok();
   ensure_bucket_enumerator(dsl, opts, st);
   if (auto s = check_held_sketches(st); !s.is_ok()) return s;
   // Always enumerate at least one sketch so an expired budget still returns
@@ -171,8 +189,11 @@ util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOp
     st->enumerator = SketchStream::lease(dsl, bucket_enumerator_options(opts, st->bucket));
     st->enumerator->copy_prefix(ck.sketches, &st->sketches);
   }
+  bool rederived = false;
   while (st->sketches.size() < ck.sketches) {
-    auto s = st->enumerator->at(st->sketches.size());
+    bool produced = false;
+    auto s = st->enumerator->at(st->sketches.size(), &produced);
+    if (produced && !std::exchange(rederived, true)) streams_rederived().add();
     if (!s) {
       return util::Status(util::StatusCode::kParseError,
                           "bucket " + ck.label + " records " + std::to_string(ck.sketches) +
@@ -256,11 +277,15 @@ void ShardEngine::cache_tallies(std::uint64_t* hits, std::uint64_t* misses) {
 }
 
 util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest& req) {
+  std::vector<State*> named;  // in req.labels order
+  named.reserve(req.labels.size());
   for (const auto& label : req.labels) {
-    if (!states_.count(label)) {
+    auto it = states_.find(label);
+    if (it == states_.end()) {
       return util::Status(util::StatusCode::kInvalidArgument,
                           "shard does not own bucket '" + label + "'");
     }
+    named.push_back(&it->second);
   }
   std::vector<trace::Segment> working;
   for (std::size_t idx : req.working) {
@@ -288,30 +313,47 @@ util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest
     }
   }
   std::vector<util::Status> failures(req.labels.size());
-  // The buckets that finished scoring, with their post-pass bests. Once
-  // req.keep of them have, a finished bucket whose best is strictly worse
-  // than the keep-th best among them is certain to be cut: the finished
-  // buckets are a subset of the live ones, and the keep-th smallest over a
-  // subset is never below the one over all of them. Ties are held; a best is
-  // never NaN (score_bucket_pass keeps a strict minimum from +inf).
+  // The buckets that finished scoring, by live index, kept ranked by
+  // (post-pass best, live index). Two rules drop a finished bucket's lease:
   //
-  // The task that proves a bucket cut drops its lease, and those of the
-  // earlier-finished buckets its best now excludes, when it returns: `cut`
-  // is declared before the lock, so the teardowns run after it is released.
+  // - Certain cut. Once req.keep of them have finished, a finished bucket
+  //   whose best is strictly worse than the keep-th best among them is
+  //   certain to be cut: the finished buckets are a subset of the live ones,
+  //   and the keep-th smallest over a subset is never below the one over all
+  //   of them. Ties are held; a best is never NaN (score_bucket_pass keeps a
+  //   strict minimum from +inf).
+  // - Pool width. Only the P = pool_->size() best-ranked finished lease
+  //   holders keep theirs. A holder that P others outrank is outranked by P
+  //   holders at the end of the pass too (a holder dropped later is dropped
+  //   for P better ones), so the held set a pass leaves is the best P of its
+  //   finished holders, whatever the task timing. A later pass that names a
+  //   dropped bucket leases it again and re-derives its held prefix
+  //   (check_held_sketches).
+  //
+  // The leases move out under the mutex and are torn down by the finishing
+  // task after it is released (`dropped` is declared before the lock).
   std::mutex finished_mu;
-  std::vector<State*> finished;
-  auto finish = [&](State& st) {
-    std::vector<std::shared_ptr<SketchStream>> cut;
+  std::vector<std::size_t> finished;
+  const std::size_t width = pool_->size();
+  auto finish = [&](std::size_t i) {
+    std::vector<std::shared_ptr<SketchStream>> dropped;
     std::lock_guard lk(finished_mu);
-    finished.push_back(&st);
-    if (req.keep == 0 || finished.size() < req.keep) return;
-    std::vector<double> ranked;
-    ranked.reserve(finished.size());
-    for (const State* f : finished) ranked.push_back(f->best.distance);
-    std::nth_element(ranked.begin(), ranked.begin() + (req.keep - 1), ranked.end());
-    const double bound = ranked[req.keep - 1];
-    for (State* f : finished) {
-      if (f->best.distance > bound && f->enumerator) cut.push_back(std::move(f->enumerator));
+    finished.push_back(i);
+    std::sort(finished.begin(), finished.end(), [&](std::size_t a, std::size_t b) {
+      return std::pair(named[a]->best.distance, a) < std::pair(named[b]->best.distance, b);
+    });
+    const double bound = req.keep != 0 && finished.size() >= req.keep
+                             ? named[finished[req.keep - 1]]->best.distance
+                             : std::numeric_limits<double>::infinity();
+    std::size_t held = 0;
+    for (std::size_t f : finished) {
+      State& fs = *named[f];
+      if (!fs.enumerator) continue;
+      if (fs.best.distance > bound || held == width) {
+        dropped.push_back(std::move(fs.enumerator));
+      } else {
+        ++held;
+      }
     }
   };
 
@@ -320,7 +362,7 @@ util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest
       idle[i - req.labels.size()]->enumerator.reset();
       return;
     }
-    State& st = states_.at(req.labels[i]);
+    State& st = *named[i];
     obs::Span span("score " + st.bucket.label, "synth");
     // A preempted run that already has a best skips the remaining buckets
     // outright: building their enumerators just to honor the one-sketch
@@ -343,7 +385,7 @@ util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest
     ctx.cache_hit_tally = &cache_hits_;
     ctx.cache_miss_tally = &cache_misses_;
     const ScoredHandler best = score_bucket_pass(dsl_, opts_, st, working, &ctx, stop);
-    finish(st);
+    finish(i);
     if (!best.valid()) return;
     pass_found.store(true, std::memory_order_release);
     if (jscope && best.sketch) {
@@ -359,10 +401,7 @@ util::Result<std::vector<BucketOutcome>> ShardEngine::run_pass(const PassRequest
   }
   std::vector<BucketOutcome> out;
   out.reserve(req.labels.size());
-  for (const auto& label : req.labels) {
-    const State& st = states_.at(label);
-    out.push_back({bucket_state_to_checkpoint(st), st.best});
-  }
+  for (const State* st : named) out.push_back({bucket_state_to_checkpoint(*st), st->best});
   return out;
 }
 

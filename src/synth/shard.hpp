@@ -54,8 +54,8 @@ struct BucketSearchState {
   Bucket bucket;
   // Lease on the bucket's sketch stream, shared with every other job in
   // flight on the same spec. Taken on first use and dropped once useless
-  // (the bucket is exhausted or no longer searched); re-leased if needed
-  // again.
+  // (the bucket is exhausted or no longer searched) or outranked (see
+  // ShardEngine); re-leased if needed again.
   std::shared_ptr<SketchStream> enumerator;
   std::vector<dsl::ExprPtr> sketches;            // taken from the stream so far
   ScoredHandler best;                            // best under the *current* segment set
@@ -72,12 +72,13 @@ void ensure_bucket_enumerator(const dsl::Dsl& dsl, const SynthesisOptions& opts,
 // Take sketches from st's stream until st holds `target` or the bucket is
 // exhausted, counting each new sketch into "synth.sketches_enumerated" (and
 // into "synth.stream_sketches_shared" when another lease produced it) and
-// journaling it under the caller's scope. Always takes at least one sketch
-// even when `stop` fires, so an expired budget still returns the best
-// handler seen (§4.4's interrupt semantics). The sketches st already holds
+// journaling it under the caller's scope. A bucket that holds no sketch
+// takes one even when `stop` fires, so an expired budget still returns the
+// best handler seen (§4.4's interrupt semantics); one that holds some takes
+// none once `stop` fires, and leases nothing. The sketches st already holds
 // must be its stream's first ones (a re-leased stream re-derives them,
-// without counting or journaling); a held sketch that differs is
-// kParseError.
+// counting only into "synth.streams_rederived" and journaling nothing); a
+// held sketch that differs is kParseError.
 util::Status enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                                        BucketSearchState& st, std::size_t target,
                                        const std::function<bool()>& stop);
@@ -99,7 +100,8 @@ util::Result<ScoredHandler> parse_scored_handler(double distance, const std::str
 
 // Snapshot / restore one bucket's state. Restore takes the first
 // ck.sketches of the bucket's stream (sketches are never serialized; the
-// stream is deterministic) without counting or journaling them, and checks
+// stream is deterministic) without counting or journaling them (a fresh
+// producer that derives them adds one to "synth.streams_rederived"), and checks
 // them against ck.stream_hash: kParseError when the stream is shorter or its
 // hash differs. Checkpoint resume and worker adoption both come here.
 BucketCheckpoint bucket_state_to_checkpoint(const BucketSearchState& st);
@@ -168,14 +170,19 @@ SynthesisResult run_refinement(const dsl::Dsl& dsl, const std::vector<trace::Seg
 // Buckets of one pass run in parallel, each under its own journal scope and
 // trace span.
 //
-// A bucket holds its stream lease only while it can still yield sketches
-// and may still be searched. The engine drops leases on the pool, never
-// serially, so the last lease of a stream tears its Z3 producer down there:
-// in the bucket's own pass task once it is exhausted; as soon as the pass
-// proves the bucket cut (PassRequest::keep), in the pass task that proves
-// it, so only the survivors of a pass keep Z3 state; as extra tasks of the
-// next pass for held buckets that pass does not name; and in the destructor
-// for the rest.
+// A bucket holds its stream lease only while it can still yield sketches,
+// may still be searched, and ranks among the P = pool width best finished
+// buckets of its pass. The engine drops leases on the pool, never serially,
+// so the last lease of a stream tears its Z3 producer down there: in the
+// bucket's own pass task once it is exhausted; as soon as the pass proves
+// the bucket cut (PassRequest::keep), or P better finished buckets hold
+// leases, in the pass task that finds it, so a pass leaves at most P
+// producers; as extra tasks of the next pass for held buckets that pass
+// does not name; and in the destructor for the rest. P is the width because
+// a pass runs at most P + 1 buckets at once, and the driver orders the next
+// pass's labels by score, so the held ones are its first wave. A dropped
+// bucket the next pass names again re-derives its held prefix with a fresh
+// producer (synth.streams_rederived), which changes no result.
 class ShardEngine final : public PassExecutor {
  public:
   // `segments` is the job's full pool and must outlive the engine. The pool

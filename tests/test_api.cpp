@@ -9,6 +9,7 @@
 // synthesis out of them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -23,6 +24,10 @@
 #include <vector>
 
 #include <unistd.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "abg/abagnale.hpp"
 #include "net/simulator.hpp"
@@ -753,7 +758,7 @@ void expect_same_job(const api::JobResult& solo, const api::JobResult& got,
 // returns. Then the batch runs again while a holder keeps every bucket stream
 // of the three specs alive, as one more job in flight on each would: the
 // identical jobs then share every stream, so exactly one producer is built
-// per distinct spec.
+// per distinct spec, and no job re-derives a prefix.
 TEST(SketchStream, ConcurrentJobsMatchSoloRunsWithOneProducerPerSpec) {
   const auto reno = dsl::reno_dsl();
   const auto segs = cca_segments("reno", 21);
@@ -764,21 +769,23 @@ TEST(SketchStream, ConcurrentJobsMatchSoloRunsWithOneProducerPerSpec) {
   const std::size_t distinct = 3;  // reno-b is reno-a's spec
 
   auto& built = obs::counter("synth.enumerators_built");
+  auto& rederived = obs::counter("synth.streams_rederived");
   auto& shared = obs::counter("synth.stream_sketches_shared");
   auto& live = obs::gauge("synth.streams_live");
   const double live0 = live.last();
 
   std::vector<api::JobResult> solo;
-  std::uint64_t solo_built = 0;
+  std::uint64_t solo_built = 0;  // each stream's first producer
   {
     api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
     for (std::size_t i = 0; i < distinct; ++i) {
       const auto built0 = built.value();
+      const auto rederived0 = rederived.value();
       const auto shared0 = shared.value();
       auto h = engine.submit(specs[i]);
       ASSERT_TRUE(h.ok()) << h.status().to_string();
       solo.push_back(h->wait());
-      solo_built += built.value() - built0;
+      solo_built += (built.value() - built0) - (rederived.value() - rederived0);
       // A job alone shares nothing and keeps nothing.
       EXPECT_EQ(shared.value(), shared0) << specs[i].name;
       EXPECT_EQ(live.last(), live0) << specs[i].name;
@@ -820,8 +827,10 @@ TEST(SketchStream, ConcurrentJobsMatchSoloRunsWithOneProducerPerSpec) {
   }
   EXPECT_EQ(live.last(), live0 + static_cast<double>(holder.size()));
   const auto shared0 = shared.value();
+  const auto rederived0 = rederived.value();
   run_batch();
   EXPECT_EQ(built.value() - built0, solo_built);
+  EXPECT_EQ(rederived.value(), rederived0);
   // Of the sketches reno-a and reno-b both take, whichever job comes second
   // finds each one already produced.
   EXPECT_EQ(shared.value() - shared0, solo[0].pipeline.synthesis.total_sketches);
@@ -829,13 +838,9 @@ TEST(SketchStream, ConcurrentJobsMatchSoloRunsWithOneProducerPerSpec) {
   EXPECT_EQ(live.last(), live0);
 }
 
-// The benchmark's §6.1 Reno job: three 15 s Reno traces, quick-scale bounds,
-// 3 threads. 18 of the 128 buckets fit in 7 nodes and build a Z3 producer.
-// Once a pass ends, only the buckets the top-k cut retains and that can
-// still yield sketches may hold one: each cut bucket's producer is dropped
-// during the pass that proves it cut, by the pass task that proves it. The
-// result is the benchmark's golden.
-TEST(SketchStream, CutBucketsReleaseTheirProducersDuringThePass) {
+// The benchmark's §6.1 Reno job: three 15 s Reno traces, quick-scale bounds.
+// 18 of the 128 buckets fit in 7 nodes and build a Z3 producer.
+api::JobSpec sec61_reno_job() {
   auto envs = net::default_environments(3, 101);
   for (auto& e : envs) e.duration_s = 15.0;
   envs[1].random_loss = 0.002;
@@ -856,32 +861,46 @@ TEST(SketchStream, CutBucketsReleaseTheirProducersDuringThePass) {
   o.timeout_s = 300.0;
   o.initial_keep = 5;
   o.seed = 7;
+  api::JobSpec spec;
+  spec.with_name("reno_sec61")
+      .with_segments(trace::segment_all(steady, 20, false))
+      .with_custom_dsl(dsl::reno_dsl())
+      .with_synthesis_options(o);
+  return spec;
+}
 
+// The §6.1 job on 3 threads. Once a pass ends, only the buckets the top-k
+// cut retains, that can still yield sketches, and that rank among the
+// pool's 3 best finished ones may hold a producer: each cut bucket's
+// producer is dropped during the pass that proves it cut, by the pass task
+// that proves it, and so is each one the pool's width leaves out. Every
+// producer beyond the 18 first ones re-derives a dropped bucket's prefix.
+// The result is the benchmark's golden.
+TEST(SketchStream, CutBucketsReleaseTheirProducersDuringThePass) {
+  constexpr std::size_t kThreads = 3;
   auto& producers = obs::gauge("synth.producers_live");
   auto& built = obs::counter("synth.enumerators_built");
+  auto& rederived = obs::counter("synth.streams_rederived");
   struct Seen {
     std::size_t survivors;
     double producers;
   };
   std::vector<Seen> seen;
-  api::JobSpec spec;
-  spec.with_name("reno_sec61")
-      .with_segments(trace::segment_all(steady, 20, false))
-      .with_custom_dsl(dsl::reno_dsl())
-      .with_synthesis_options(o)
-      .with_iteration_callback([&](const synth::IterationReport& rep) {
-        std::size_t survivors = 0;
-        for (const auto& b : rep.buckets) survivors += b.retained && !b.exhausted ? 1 : 0;
-        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-        while (producers.last() > static_cast<double>(survivors) &&
-               std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        seen.push_back({survivors, producers.last()});
-      });
+  api::JobSpec spec = sec61_reno_job();
+  spec.with_iteration_callback([&](const synth::IterationReport& rep) {
+    std::size_t survivors = 0;
+    for (const auto& b : rep.buckets) survivors += b.retained && !b.exhausted ? 1 : 0;
+    const auto held = static_cast<double>(std::min(survivors, kThreads));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (producers.last() > held && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    seen.push_back({survivors, producers.last()});
+  });
 
   const auto built0 = built.value();
-  api::Engine engine({.threads = 3, .max_concurrent_jobs = 1});
+  const auto rederived0 = rederived.value();
+  api::Engine engine({.threads = kThreads, .max_concurrent_jobs = 1});
   auto h = engine.submit(std::move(spec));
   ASSERT_TRUE(h.ok()) << h.status().to_string();
   const api::JobResult& r = h->wait();
@@ -890,15 +909,82 @@ TEST(SketchStream, CutBucketsReleaseTheirProducersDuringThePass) {
   ASSERT_FALSE(seen.empty());
   EXPECT_EQ(seen[0].survivors, 11u);
   for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_LE(seen[i].producers, static_cast<double>(seen[i].survivors)) << "iteration " << i;
+    EXPECT_LE(seen[i].producers, static_cast<double>(std::min(seen[i].survivors, kThreads)))
+        << "iteration " << i;
   }
-  EXPECT_EQ(built.value() - built0, 18u);
+  EXPECT_EQ((built.value() - built0) - (rederived.value() - rederived0), 18u);
   EXPECT_EQ(r.pipeline.handler_string(), "cwnd + (reno-inc * 1)");
   EXPECT_EQ(r.pipeline.distance(), 0x1.38ef84041b166p+0);
   EXPECT_EQ(r.pipeline.synthesis.total_sketches, 885u);
   EXPECT_EQ(r.pipeline.synthesis.total_handlers_scored, 22918u);
   ASSERT_EQ(r.convergence.size(), 3u);
   for (const auto& p : r.convergence) EXPECT_EQ(p.best_distance, 0x1.c1f3cfb1cf3a8p-1);
+}
+
+// How many producers a pool keeps must not move the run. The §6.1 job on a
+// 1-thread pool, which keeps one finished bucket's producer per pass and
+// re-derives the prefixes of the others it names again, and on an 8-thread
+// pool, which keeps up to 8, agree bit for bit on the winner, its distance,
+// the work counts, every iteration's bucket scores and the convergence
+// series. On each, at most P producers are held and P + 1 pass tasks run
+// (parallel_for's caller runs tasks too), so at most 2P + 1 are live.
+TEST(SketchStream, PoolWidthEvictionKeepsTheRunBitIdentical) {
+  auto& producers = obs::gauge("synth.producers_live");
+  auto& rederived = obs::counter("synth.streams_rederived");
+  const api::JobSpec spec = sec61_reno_job();
+  struct Run {
+    api::JobResult result;
+    std::uint64_t rederived = 0;
+    double producers_high_water = 0.0;
+  };
+  auto run = [&](std::size_t threads) {
+    Run out;
+    EXPECT_EQ(producers.last(), 0.0);
+    producers.reset();  // no producer is live, so only the high-water moves
+    const auto rederived0 = rederived.value();
+    api::Engine engine({.threads = threads, .max_concurrent_jobs = 1});
+    auto h = engine.submit(spec);
+    EXPECT_TRUE(h.ok()) << h.status().to_string();
+    if (h.ok()) out.result = h->wait();
+    out.rederived = rederived.value() - rederived0;
+    out.producers_high_water = producers.max();
+    return out;
+  };
+  const Run narrow = run(1);
+  const Run wide = run(8);
+  ASSERT_TRUE(narrow.result.ok()) << narrow.result.status.to_string();
+  ASSERT_TRUE(wide.result.ok()) << wide.result.status.to_string();
+
+  EXPECT_GT(narrow.rederived, 0u);
+  EXPECT_LE(narrow.producers_high_water, 2.0 * 1 + 1);
+  EXPECT_LE(wide.producers_high_water, 2.0 * 8 + 1);
+
+  const synth::SynthesisResult& a = narrow.result.pipeline.synthesis;
+  const synth::SynthesisResult& b = wide.result.pipeline.synthesis;
+  EXPECT_EQ(narrow.result.pipeline.handler_string(), "cwnd + (reno-inc * 1)");
+  EXPECT_EQ(narrow.result.pipeline.handler_string(), wide.result.pipeline.handler_string());
+  EXPECT_EQ(narrow.result.pipeline.distance(), wide.result.pipeline.distance());
+  EXPECT_EQ(a.total_sketches, b.total_sketches);
+  EXPECT_EQ(a.total_handlers_scored, b.total_handlers_scored);
+  ASSERT_EQ(a.iterations.size(), b.iterations.size());
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    const auto& x = a.iterations[i].buckets;
+    const auto& y = b.iterations[i].buckets;
+    ASSERT_EQ(x.size(), y.size()) << "iteration " << i;
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      EXPECT_EQ(x[j].label, y[j].label) << "iteration " << i << ", rank " << j;
+      EXPECT_EQ(x[j].score, y[j].score) << "iteration " << i << ", " << x[j].label;
+      EXPECT_EQ(x[j].sketches_enumerated, y[j].sketches_enumerated) << x[j].label;
+      EXPECT_EQ(x[j].handlers_scored, y[j].handlers_scored) << x[j].label;
+      EXPECT_EQ(x[j].exhausted, y[j].exhausted) << x[j].label;
+      EXPECT_EQ(x[j].retained, y[j].retained) << x[j].label;
+    }
+  }
+  ASSERT_EQ(narrow.result.convergence.size(), wide.result.convergence.size());
+  for (std::size_t i = 0; i < narrow.result.convergence.size(); ++i) {
+    EXPECT_EQ(narrow.result.convergence[i].best_distance, wide.result.convergence[i].best_distance)
+        << "iteration " << i;
+  }
 }
 
 // --- Memory: an idle Engine holds none of its finished jobs' Z3 memory. -----
@@ -975,6 +1061,80 @@ TEST(Memory, IdleRssReturnsAfterEachJob) {
         << "held, job " << job << ": " << with_held << " -> " << rss << " MB";
   }
   std::remove(csv.c_str());
+#endif
+}
+
+// A finished job's record outlives the job: its handle, and the Engine's list
+// of the last 64 finished jobs, pin it. Its inputs and callbacks must not
+// ride along. 64 jobs, each carrying a 2 MB segment pool and a completion
+// callback that holds a sentinel, are cancelled as soon as they are
+// submitted. Once all have ended, with every handle still held, no callback
+// holds the sentinel and the in-use heap is back near where it started
+// (it kept the 128 MB of pools when the records kept their inputs).
+TEST(Memory, FinishedJobsReleaseTheirInputs) {
+  trace::Environment env;
+  env.bandwidth_bps = 10e6;
+  env.rtt_s = 0.040;
+  env.duration_s = 8.0;
+  const std::vector<trace::Segment> base =
+      trace::segment_trace(net::run_connection("reno", env), 20, false);
+  ASSERT_FALSE(base.empty());
+  std::vector<trace::Segment> pool;
+  std::size_t bytes = 0;
+  while (bytes < (2u << 20)) {
+    for (const auto& seg : base) {
+      pool.push_back(seg);
+      bytes += seg.samples.size() * sizeof(trace::AckSample);
+    }
+  }
+  synth::SynthesisOptions o;
+  o.initial_samples = 2;
+  o.concretize_budget = 4;
+  o.max_iterations = 1;
+  o.max_depth = 2;
+  o.max_nodes = 3;
+  o.max_holes = 1;
+  o.seed = 3;
+  const auto sentinel = std::make_shared<int>(0);
+  auto job = [&](int i) {
+    api::JobSpec spec;
+    spec.with_name("pinned-" + std::to_string(i))
+        .with_segments(pool)
+        .with_custom_dsl(dsl::reno_dsl())
+        .with_synthesis_options(o)
+        .with_completion_callback([sentinel](const api::JobResult&) {});
+    return spec;
+  };
+#if defined(__GLIBC__) && !defined(ABG_TEST_SANITIZER_MALLOC)
+  const auto heap_in_use_mb = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return static_cast<double>(m.uordblks + m.hblkhd) / (1 << 20);
+  };
+#endif
+
+  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+  // One job first, so what the first run of the search leaves for the rest
+  // of the process (Z3's globals, registered metrics) is in the baseline.
+  auto first = engine.submit(job(0));
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  first->cancel();
+  first->wait();
+#if defined(__GLIBC__) && !defined(ABG_TEST_SANITIZER_MALLOC)
+  const double before = heap_in_use_mb();
+#endif
+  std::vector<api::JobHandle> handles;
+  for (int i = 1; i <= 64; ++i) {
+    auto h = engine.submit(job(i));
+    ASSERT_TRUE(h.ok()) << h.status().to_string();
+    h->cancel();
+    handles.push_back(*h);
+  }
+  engine.wait_all();
+  for (const auto& h : handles) ASSERT_NE(h.poll(), nullptr) << h.name();
+  EXPECT_EQ(sentinel.use_count(), 1) << "a finished job still holds its callbacks";
+#if defined(__GLIBC__) && !defined(ABG_TEST_SANITIZER_MALLOC)
+  const double after = heap_in_use_mb();
+  EXPECT_LE(after - before, 16.0) << "in-use heap " << before << " -> " << after << " MB";
 #endif
 }
 

@@ -191,6 +191,47 @@ TEST(BucketLifecycle, ReleasedEnumeratorContinuesExactly) {
   }
 }
 
+// A lease taken again once its stream is gone re-derives the held prefix
+// with a fresh producer, counted once in synth.streams_rederived. A lease
+// that finds the stream live re-derives nothing, and a bucket that takes no
+// new sketch leases nothing.
+TEST(BucketLifecycle, ReleasedStreamRederivesItsPrefixOnce) {
+  const auto reno = dsl::reno_dsl();
+  const SynthesisOptions opts = quick_opts();
+  const auto never = [] { return false; };
+  const auto always = [] { return true; };
+  auto& rederived = obs::counter("synth.streams_rederived");
+  auto& built = obs::counter("synth.enumerators_built");
+  BucketSearchState st = bucket_state(reno, "{+,*}", opts);
+  ASSERT_TRUE(enumerate_bucket_sketches(reno, opts, st, 8, never).is_ok());
+  st.enumerator.reset();  // the stream's last lease
+  const auto rederived0 = rederived.value();
+  const auto built0 = built.value();
+
+  // An interrupted pass takes no sketch from a bucket that holds some.
+  ASSERT_TRUE(enumerate_bucket_sketches(reno, opts, st, 16, always).is_ok());
+  EXPECT_EQ(st.sketches.size(), 8u);
+  EXPECT_EQ(st.enumerator, nullptr);
+  EXPECT_EQ(built.value(), built0);
+
+  ASSERT_TRUE(enumerate_bucket_sketches(reno, opts, st, 16, never).is_ok());
+  EXPECT_EQ(st.sketches.size(), 16u);
+  EXPECT_EQ(rederived.value() - rederived0, 1u);
+  EXPECT_EQ(built.value() - built0, 1u);
+
+  // Resumed beside st's live lease, the prefix is the stream's as it stands.
+  const BucketCheckpoint ck = bucket_state_to_checkpoint(st);
+  BucketSearchState resumed = bucket_state(reno, "{+,*}", opts);
+  ASSERT_TRUE(bucket_state_from_checkpoint(reno, opts, ck, &resumed).is_ok());
+  EXPECT_EQ(rederived.value() - rederived0, 1u);
+  // With no lease left, resuming re-derives it.
+  st.enumerator.reset();
+  resumed.enumerator.reset();
+  ASSERT_TRUE(bucket_state_from_checkpoint(reno, opts, ck, &resumed).is_ok());
+  EXPECT_EQ(rederived.value() - rederived0, 2u);
+  EXPECT_EQ(built.value() - built0, 2u);
+}
+
 TEST(BucketLifecycle, DivergentHeldSketchIsAClassifiedError) {
   const auto reno = dsl::reno_dsl();
   const SynthesisOptions opts = quick_opts();
@@ -247,15 +288,19 @@ TEST(BucketLifecycle, OnlySizeFeasibleBucketsBuildZ3AndNoneOutliveTheRun) {
   opts.max_iterations = 2;
   opts.exhaustive_cap = 8;
   auto& built = obs::counter("synth.enumerators_built");
+  auto& rederived = obs::counter("synth.streams_rederived");
   auto& build_us = obs::histogram("synth.enum_build_us");
   auto& teardown_us = obs::histogram("synth.enum_teardown_us");
   const auto built0 = built.value();
+  const auto rederived0 = rederived.value();
   const auto build0 = build_us.count();
   const auto teardown0 = teardown_us.count();
   const auto result = synthesize(dsl::reno_dsl(), reno_segments(), opts);
   ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
   EXPECT_EQ(result.initial_buckets, 128u);
-  EXPECT_EQ(built.value() - built0, 18u);
+  // Every producer past the first 18 re-derives the prefix of a bucket whose
+  // producer the pool's width dropped.
+  EXPECT_EQ((built.value() - built0) - (rederived.value() - rederived0), 18u);
   EXPECT_EQ(build_us.count() - build0, built.value() - built0);
   EXPECT_EQ(teardown_us.count() - teardown0, built.value() - built0);
 }
