@@ -20,8 +20,8 @@ namespace detail {
 // One submitted job's full record: spec in, result out, plus the done latch
 // and the cancellation token the engine threads through the synthesis loop.
 struct JobInner {
-  explicit JobInner(JobSpec s)
-      : spec(std::move(s)), token(spec.pipeline.synth.cancel) {}
+  JobInner(JobSpec s, Engine* e)
+      : spec(std::move(s)), token(spec.pipeline.synth.cancel), engine(e) {}
 
   JobSpec spec;
   JobResult result;
@@ -30,9 +30,11 @@ struct JobInner {
   // preempt the job; the caller's token must outlive the run, as documented
   // on SynthesisOptions::cancel.
   util::CancellationToken token;
+  // Alive while !done: ~Engine waits for every job it holds.
+  Engine* const engine;
 
   std::atomic<JobState> state{JobState::kQueued};
-  std::mutex mu;
+  std::mutex mu;  // guards done; held by cancel() while it reaches the engine
   std::condition_variable cv;
   bool done = false;
 
@@ -58,6 +60,7 @@ struct JobInner {
     std::exchange(spec.traces, {});
     std::exchange(spec.segments, {});
     spec.on_iteration = nullptr;
+    spec.on_start = nullptr;
     spec.on_complete = nullptr;
     spec.synthesizer = nullptr;
   }
@@ -160,8 +163,19 @@ const JobResult& JobHandle::wait() const {
   return inner_->result;
 }
 
-void JobHandle::cancel(util::StatusCode reason) const {
-  if (inner_) inner_->token.cancel(reason);
+bool JobHandle::cancel(util::StatusCode reason) const {
+  if (!inner_) return false;
+  inner_->token.cancel(reason);
+  bool queued = false;
+  {
+    // A job not yet done pins its engine, and finish_job sets done under
+    // this lock, so the engine outlives the dequeue.
+    std::lock_guard lk(inner_->mu);
+    queued = !inner_->done && inner_->engine->dequeue(*inner_);
+  }
+  // Dequeued, the job counts as active, so the engine stays up until it ends.
+  if (queued) inner_->engine->end_unstarted(inner_);
+  return queued;
 }
 
 // --- Engine ------------------------------------------------------------------
@@ -201,7 +215,7 @@ util::Result<JobHandle> Engine::submit(JobSpec spec) {
   if (auto st = spec.validate(); !st.is_ok()) {
     return st.with_context(spec.name.empty() ? std::string("job") : "job '" + spec.name + "'");
   }
-  auto inner = std::make_shared<detail::JobInner>(std::move(spec));
+  auto inner = std::make_shared<detail::JobInner>(std::move(spec), this);
   {
     std::lock_guard lk(mu_);
     ++submitted_;
@@ -248,13 +262,34 @@ void Engine::wait_all() {
 }
 
 void Engine::cancel_all(util::StatusCode reason) {
+  std::deque<std::shared_ptr<detail::JobInner>> unstarted;
+  {
+    std::lock_guard lk(mu_);
+    for (auto& j : jobs_) j->token.cancel(reason);
+    unstarted.swap(queue_);
+    active_ += unstarted.size();
+  }
+  for (const auto& j : unstarted) end_unstarted(j);
+}
+
+bool Engine::dequeue(const detail::JobInner& job) {
   std::lock_guard lk(mu_);
-  for (auto& j : jobs_) j->token.cancel(reason);
+  const auto it = std::find_if(queue_.begin(), queue_.end(),
+                               [&job](const auto& j) { return j.get() == &job; });
+  if (it == queue_.end()) return false;
+  queue_.erase(it);
+  ++active_;
+  return true;
 }
 
 std::size_t Engine::jobs_submitted() const {
   std::lock_guard lk(mu_);
   return submitted_;
+}
+
+std::size_t Engine::jobs_queued() const {
+  std::lock_guard lk(mu_);
+  return queue_.size();
 }
 
 const char* job_state_name(JobState s) {
@@ -361,38 +396,65 @@ void Engine::driver_loop() {
       queue_.pop_front();
       ++active_;
     }
+    // A token that fired while the job was queued (a parent token in the
+    // spec) ends it here, as if it had been cancelled in the queue.
+    if (job->token.cancelled()) {
+      end_unstarted(job);
+      continue;
+    }
     job->state.store(JobState::kRunning, std::memory_order_release);
+    if (job->spec.on_start) job->spec.on_start();
     run_job(*job);
-    // Terminal callback fires before the done latch / kDone store, so a
-    // waiter released by wait() can rely on its side effects (the serve
-    // layer's durable WAL record + result file) already being on disk.
-    if (job->spec.on_complete) job->spec.on_complete(job->result);
-    job->release_inputs();
-    {
-      std::lock_guard lk(job->mu);
-      job->done = true;
-    }
-    job->state.store(JobState::kDone, std::memory_order_release);
-    job->cv.notify_all();
-    {
-      std::lock_guard lk(mu_);
-      --active_;
-      // Keep listing the last kFinishedJobsKept finished jobs.
-      finished_.push_back(job.get());
-      if (finished_.size() > kFinishedJobsKept) {
-        const detail::JobInner* oldest = finished_.front();
-        finished_.pop_front();
-        jobs_.erase(std::find_if(jobs_.begin(), jobs_.end(),
-                                 [oldest](const auto& j) { return j.get() == oldest; }));
-      }
-      publish_jobs_locked();
-    }
-    idle_cv_.notify_all();
+    finish_job(job);
   }
 }
 
-void Engine::run_job(detail::JobInner& job) {
+void Engine::end_unstarted(const std::shared_ptr<detail::JobInner>& job) {
+  // cancel() sets the flag a moment before the reason.
+  util::StatusCode reason = job->token.reason();
+  if (reason == util::StatusCode::kOk) reason = util::StatusCode::kCancelled;
+  JobResult& out = job->result;
+  out.status = util::Status(reason, "job cancelled before it started");
+  if (out.kind == JobSpec::Kind::kPipeline) {
+    // The shape of a search interrupted before its first pass.
+    out.pipeline.synthesis.partial = true;
+    out.pipeline.synthesis.timed_out = reason == util::StatusCode::kTimeout;
+    out.pipeline.synthesis.status = out.status;
+  }
+  finish_job(job);
+}
+
+void Engine::finish_job(const std::shared_ptr<detail::JobInner>& job) {
   static auto& c_completed = obs::counter("api.jobs_completed");
+  c_completed.add();
+  // Terminal callback fires before the done latch / kDone store, so a
+  // waiter released by wait() can rely on its side effects (the serve
+  // layer's durable WAL record + result file) already being on disk.
+  if (job->spec.on_complete) job->spec.on_complete(job->result);
+  job->release_inputs();
+  {
+    std::lock_guard lk(job->mu);
+    job->done = true;
+  }
+  job->state.store(JobState::kDone, std::memory_order_release);
+  job->cv.notify_all();
+  {
+    std::lock_guard lk(mu_);
+    --active_;
+    // Keep listing the last kFinishedJobsKept finished jobs.
+    finished_.push_back(job.get());
+    if (finished_.size() > kFinishedJobsKept) {
+      const detail::JobInner* oldest = finished_.front();
+      finished_.pop_front();
+      jobs_.erase(std::find_if(jobs_.begin(), jobs_.end(),
+                               [oldest](const auto& j) { return j.get() == oldest; }));
+    }
+    publish_jobs_locked();
+  }
+  idle_cv_.notify_all();
+}
+
+void Engine::run_job(detail::JobInner& job) {
   util::Stopwatch clock;
   // Give the job its own trace lane: every span opened while this driver (or
   // a pool worker running this job's stolen tasks) is inside the job carries
@@ -437,7 +499,6 @@ void Engine::run_job(detail::JobInner& job) {
     // fails this job (and only this job).
     out.status = traces.status();
     out.seconds = clock.elapsed_seconds();
-    c_completed.add();
     return;
   }
 
@@ -465,7 +526,6 @@ void Engine::run_job(detail::JobInner& job) {
   out.seconds = clock.elapsed_seconds();
 
   obs::gauge("api.job.seconds", job_labels).set(out.seconds);
-  c_completed.add();
 }
 
 }  // namespace abg::api

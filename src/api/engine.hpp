@@ -9,7 +9,8 @@
 //   const api::JobResult& r = handle->wait();
 //
 // Scheduling model: `max_concurrent_jobs` driver threads pull jobs FIFO from
-// the submission queue and run the refinement loop with the shared pool
+// the submission queue (a job cancelled while still queued leaves it at
+// once and never starts) and run the refinement loop with the shared pool
 // injected (SynthesisOptions::pool). Bucket-scoring tasks from all running
 // jobs land round-robin on the pool's per-worker deques and idle workers
 // steal oldest-first, so a 23-CCA sweep keeps every core busy instead of
@@ -105,10 +106,12 @@ class JobHandle {
   // Block until the job finishes. The reference stays valid as long as any
   // handle to this job exists.
   const JobResult& wait() const;
-  // Cooperatively cancel this job (queued jobs unwind as soon as a driver
-  // picks them up). The job completes with the given interrupt class and
-  // best-so-far results, mirroring a deadline preemption.
-  void cancel(util::StatusCode reason = util::StatusCode::kCancelled) const;
+  // Cancel this job. A queued job leaves the queue and completes before
+  // cancel() returns, on this thread, without starting; then cancel()
+  // returns true. A running one unwinds cooperatively. Either way the job
+  // completes with the given interrupt class and best-so-far results,
+  // mirroring a deadline preemption.
+  bool cancel(util::StatusCode reason = util::StatusCode::kCancelled) const;
 
  private:
   friend class Engine;
@@ -138,7 +141,9 @@ class Engine {
   // Block until every job submitted so far has finished.
   void wait_all();
 
-  // Fire every in-flight and queued job's cancellation token.
+  // Fire every in-flight and queued job's cancellation token; the queued
+  // ones complete before this returns, on this thread, as in
+  // JobHandle::cancel.
   void cancel_all(util::StatusCode reason = util::StatusCode::kCancelled);
 
   // Resolved configuration and shared state (mainly for tests/reports).
@@ -146,6 +151,8 @@ class Engine {
   util::ThreadPool& pool() { return pool_; }
   synth::EvalCache& eval_cache() { return cache_; }
   std::size_t jobs_submitted() const;
+  // Jobs submitted and not yet picked up by a driver.
+  std::size_t jobs_queued() const;
 
   // Finished jobs the Engine keeps listing, the most recently finished
   // ones. A long-lived Engine (abagnale_serve's) then holds O(live jobs)
@@ -163,8 +170,18 @@ class Engine {
   std::string jobs_json() const;
 
  private:
+  friend class JobHandle;
+
   void driver_loop();
   void run_job(detail::JobInner& job);
+  // Take `job` off queue_ and count it active; false when a driver or
+  // another cancel got there first.
+  bool dequeue(const detail::JobInner& job);
+  // Complete a dequeued job that never started with its token's reason.
+  void end_unstarted(const std::shared_ptr<detail::JobInner>& job);
+  // The end of every job: on_complete, the done latch and the finished
+  // window. The job is counted in active_ until this returns.
+  void finish_job(const std::shared_ptr<detail::JobInner>& job);
   // Republish jobs_ for the lock-free readers; mu_ held.
   void publish_jobs_locked();
 

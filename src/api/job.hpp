@@ -69,15 +69,20 @@ struct JobSpec {
   // SynthesisOptions::on_iteration; runs on the job's driver thread.
   std::function<void(const synth::IterationReport&)> on_iteration;
 
-  // Fired exactly once on the driver thread when the job reaches a terminal
-  // state, with the full JobResult — before the done latch releases waiters.
+  // Fired once on the driver thread as the job starts running. A job
+  // cancelled while still queued never starts and never fires it.
+  std::function<void()> on_start;
+
+  // Fired exactly once when the job reaches a terminal state, with the full
+  // JobResult — before the done latch releases waiters. It runs on the
+  // driver thread, or on the thread that cancelled a job still queued.
   // The serve layer uses this to write the terminal WAL record + result file
   // so a client polling GET /jobs/<id> never sees "done" before the result
-  // is durable (ISSUE 8). Keep it cheap-ish: it blocks this driver slot.
+  // is durable. Keep it cheap-ish: it blocks its thread.
   std::function<void(const JobResult&)> on_complete;
 
   // The refinement stage of a kPipeline job over traces without a custom
-  // DSL (the core::Abagnale path), an in-process hook like the two callbacks
+  // DSL (the core::Abagnale path), an in-process hook like the callbacks
   // above: empty runs synth::synthesize on the engine's pool;
   // dist::Coordinator supplies the same driver over its worker fleet. No
   // manifest, CLI or HTTP surface can set it.
@@ -135,6 +140,10 @@ struct JobSpec {
   }
   JobSpec& with_iteration_callback(std::function<void(const synth::IterationReport&)> cb) {
     on_iteration = std::move(cb);
+    return *this;
+  }
+  JobSpec& with_start_callback(std::function<void()> cb) {
+    on_start = std::move(cb);
     return *this;
   }
   JobSpec& with_completion_callback(std::function<void(const JobResult&)> cb) {

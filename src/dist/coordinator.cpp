@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <utility>
 
@@ -54,8 +55,15 @@ std::string endpoint_name(const WorkerEndpoint& ep) {
   return ep.host + ":" + std::to_string(ep.port);
 }
 
-// The last epoch handed to a Fleet of this process.
-std::atomic<std::uint64_t> last_epoch{0};
+// The last epoch handed to a Fleet of this process. It starts at a random
+// point below 2^52, so two coordinator processes that share a worker do not
+// both load it under epoch 1 and run an iterate on each other's shard; the
+// epochs stay below 2^53, the largest integer the wire's JSON numbers carry
+// exactly.
+std::atomic<std::uint64_t> last_epoch{[] {
+  std::random_device rd;
+  return ((std::uint64_t{rd()} << 32) | rd()) >> 12;
+}()};
 
 // The remote pass executor: one job's worker fleet. Takes the fleet's turn,
 // loads the bucket states onto the workers, runs each pass as per-worker

@@ -81,7 +81,7 @@ class JobStore {
   util::Status record_progress(const std::string& id, int iterations);
   util::Status record_suspended(const std::string& id);
   // phase must be terminal. result_json may be empty (no result file is
-  // written then — e.g. a job cancelled while still queued).
+  // written then — e.g. a job shed after its submit record).
   util::Status record_terminal(const std::string& id, JobPhase phase,
                                const std::string& error,
                                const std::string& result_json);

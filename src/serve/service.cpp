@@ -74,9 +74,7 @@ bool split_job_path(const std::string& path, std::string* id, std::string* rest)
 }  // namespace
 
 Service::Service(ServiceOptions opts)
-    : opts_(std::move(opts)),
-      pending_(opts_.queue_depth),
-      admission_(opts_.admission) {}
+    : opts_(std::move(opts)), admission_(opts_.admission) {}
 
 Service::~Service() {
   drain_and_stop();
@@ -125,28 +123,36 @@ util::Status Service::start() {
   obs::counter("serve.jobs_cancelled");
   obs::counter("serve.jobs_suspended");
 
-  // Restart recovery: every non-terminal job goes back on the dispatch
-  // queue. Whether it *resumes* (vs restarts) is decided at dispatch from
-  // the checkpoint file alone — WAL progress records are advisory.
-  for (const auto& rec : store_.records()) {
-    if (job_phase_terminal(rec.phase)) continue;
-    pending_.push_recovered(rec.id);
-    c_recovered.add();
-    ++jobs_recovered_;
-    ABG_INFO("recovered job %s (%s%s)", rec.id.c_str(), job_phase_name(rec.phase),
-             job_checkpoint_exists(store_, rec.id) ? ", has checkpoint" : "");
-  }
-  {
-    std::lock_guard lk(mu_);
-    next_id_ = store_.next_job_number();
-  }
-
   engine_ = std::make_unique<api::Engine>(opts_.engine);
   if (!opts_.dist.workers.empty()) {
     coordinator_ = std::make_unique<dist::Coordinator>(opts_.dist);
     ABG_INFO("distributed dispatch: %zu workers attached", opts_.dist.workers.size());
   }
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+
+  // Restart recovery: every non-terminal job goes back into the engine; the
+  // queue depth bounds new arrivals only, not jobs admitted in a previous
+  // life. Whether a job *resumes* (vs restarts) is decided from its
+  // checkpoint file alone — WAL progress records are advisory.
+  std::lock_guard lk(mu_);
+  next_id_ = store_.next_job_number();
+  for (const auto& rec : store_.records()) {
+    if (job_phase_terminal(rec.phase)) continue;
+    c_recovered.add();
+    ++jobs_recovered_;
+    ABG_INFO("recovered job %s (%s%s)", rec.id.c_str(), job_phase_name(rec.phase),
+             job_checkpoint_exists(store_, rec.id) ? ", has checkpoint" : "");
+    std::string spec_json;
+    util::Status st;
+    if (!util::read_file(store_.spec_path(rec.id), &spec_json)) {
+      st = util::Status(util::StatusCode::kIoError,
+                        "spec file missing: " + store_.spec_path(rec.id));
+    } else if (auto parsed = api::parse_job_spec(spec_json); !parsed.ok()) {
+      st = parsed.status();
+    } else {
+      st = submit_locked(rec.id, std::move(*parsed));
+    }
+    if (!st.is_ok()) (void)store_.record_terminal(rec.id, JobPhase::kFailed, st.to_string(), "");
+  }
   started_ = true;
   return util::Status::ok();
 }
@@ -174,9 +180,10 @@ obs::HttpResponse Service::handle_submit(const obs::HttpRequest& req) {
                 d.retry_after_s);
   }
 
-  const std::size_t backlog = pending_.size();
-  if (backlog >= pending_.capacity()) {
-    static auto& c_shed = obs::counter("serve.shed_queue_full");
+  // An early look, so a full service writes nothing for the request; the
+  // check that holds is made again with the submit below.
+  static auto& c_shed = obs::counter("serve.shed_queue_full");
+  if (const std::size_t backlog = queue_size(); backlog >= opts_.queue_depth) {
     c_shed.add();
     return shed(503, "queue_full",
                 "queue full (" + std::to_string(backlog) + " pending)", 2.0);
@@ -222,11 +229,27 @@ obs::HttpResponse Service::handle_submit(const obs::HttpRequest& req) {
   if (auto st = store_.record_submit(id, client, spec_json); !st.is_ok()) {
     return status_error(500, st);
   }
-  if (!pending_.try_push(id)) {
-    // Raced to full between the check above and here; keep the durable state
-    // honest about what happened to the job.
-    (void)store_.record_terminal(id, JobPhase::kFailed, "queue full at enqueue", "");
-    static auto& c_shed = obs::counter("serve.shed_queue_full");
+  // The depth check and the submit share one hold of mu_, so the bound is
+  // hard. A drain sets its flag under mu_ before it cancels the engine's
+  // jobs, so a submit racing it is either cancelled and parked with the
+  // rest or shed here, never run.
+  bool draining = false, full = false;
+  util::Status st;
+  {
+    std::lock_guard lk(mu_);
+    draining = draining_.load(std::memory_order_acquire) ||
+               abandoned_.load(std::memory_order_acquire);
+    full = !draining && engine_->jobs_queued() >= opts_.queue_depth;
+    if (!draining && !full) st = submit_locked(id, std::move(*parsed));
+  }
+  if (draining || full || !st.is_ok()) {
+    // Keep the durable state honest about what happened to the job.
+    const std::string why = draining ? "draining at enqueue"
+                            : full   ? "queue full at enqueue"
+                                     : st.to_string();
+    (void)store_.record_terminal(id, JobPhase::kFailed, why, "");
+    if (draining) return shed(503, "draining", "draining: not accepting new jobs", 5.0);
+    if (!full) return status_error(500, st);
     c_shed.add();
     return shed(503, "queue_full", "queue full", 2.0);
   }
@@ -267,8 +290,8 @@ obs::HttpResponse Service::handle_get(const obs::HttpRequest& req) {
     if (util::read_file(store_.result_path(id), &result)) {
       return obs::HttpResponse::json(200, result);
     }
-    // Terminal without a result file: cancelled before it ever ran, or a
-    // failure that preceded synthesis.
+    // Terminal without a result file: the job ended before it reached the
+    // engine.
     obs::JsonWriter w;
     w.begin_object();
     w.key("id");
@@ -309,49 +332,29 @@ obs::HttpResponse Service::handle_delete(const obs::HttpRequest& req) {
   }
   JobRecord rec;
   if (!store_.lookup(id, &rec)) return json_error(404, "not_found", "unknown job " + id);
-  if (job_phase_terminal(rec.phase)) {
-    return json_error(409, "conflict", "job " + id + " already " + job_phase_name(rec.phase));
-  }
-
-  if (pending_.remove(id)) {
-    static auto& c_cancelled = obs::counter("serve.jobs_cancelled");
-    if (auto st = store_.record_terminal(id, JobPhase::kCancelled, "", "");
-        !st.is_ok()) {
-      return status_error(500, st);
-    }
-    c_cancelled.add();
-    obs::JsonWriter w;
-    w.begin_object();
-    w.key("id");
-    w.value(id);
-    w.key("state");
-    w.value("cancelled");
-    w.end_object();
-    return obs::HttpResponse::json(200, w.take());
-  }
-
   api::JobHandle handle;
   {
     std::lock_guard lk(mu_);
     const auto it = handles_.find(id);
-    if (it != handles_.end()) {
-      handle = it->second;
-    } else {
-      // Between queue and engine (the dispatcher has it): flag it so the
-      // dispatcher cancels right after submit.
-      cancel_requested_.insert(id);
-    }
+    if (it != handles_.end()) handle = it->second;
   }
-  if (handle.valid()) handle.cancel();
+  // Terminal, or parked by a drain: nothing left to cancel.
+  if (!handle.valid() || job_phase_terminal(rec.phase)) {
+    return json_error(409, "conflict", "job " + id + " is " + job_phase_name(rec.phase));
+  }
+  // A queued job ends inside cancel(), on this thread, and on_job_complete
+  // has recorded how; a running one unwinds on its driver.
+  const bool ended = handle.cancel();
+  if (ended) store_.lookup(id, &rec);
 
   obs::JsonWriter w;
   w.begin_object();
   w.key("id");
   w.value(id);
   w.key("state");
-  w.value("cancelling");
+  w.value(ended ? job_phase_name(rec.phase) : "cancelling");
   w.end_object();
-  return obs::HttpResponse::json(202, w.take());
+  return obs::HttpResponse::json(ended ? 200 : 202, w.take());
 }
 
 std::string Service::jobs_list_json() const {
@@ -360,9 +363,9 @@ std::string Service::jobs_list_json() const {
   w.key("draining");
   w.value(draining_.load(std::memory_order_acquire));
   w.key("queue_size");
-  w.value(static_cast<std::uint64_t>(pending_.size()));
+  w.value(static_cast<std::uint64_t>(queue_size()));
   w.key("queue_capacity");
-  w.value(static_cast<std::uint64_t>(pending_.capacity()));
+  w.value(static_cast<std::uint64_t>(opts_.queue_depth));
   w.key("jobs");
   w.begin_array();
   for (const auto& rec : store_.records()) {
@@ -386,59 +389,7 @@ std::string Service::jobs_list_json() const {
   return w.take();
 }
 
-void Service::dispatcher_loop() {
-  for (;;) {
-    const auto id = pending_.pop_wait();
-    if (!id) return;
-    if (abandoned_.load(std::memory_order_acquire)) continue;
-    if (draining_.load(std::memory_order_acquire)) {
-      (void)store_.record_suspended(*id);
-      continue;
-    }
-    {
-      // Hold jobs service-side until the engine has a free driver, so
-      // cancellation of a queued job stays a queue operation instead of
-      // reaching into the engine's internal FIFO.
-      std::unique_lock lk(mu_);
-      slot_cv_.wait(lk, [&] {
-        return active_jobs_ < engine_->options().max_concurrent_jobs ||
-               draining_.load(std::memory_order_acquire) ||
-               abandoned_.load(std::memory_order_acquire);
-      });
-    }
-    if (abandoned_.load(std::memory_order_acquire)) continue;
-    if (draining_.load(std::memory_order_acquire)) {
-      (void)store_.record_suspended(*id);
-      continue;
-    }
-    bool cancelled_early = false;
-    {
-      std::lock_guard lk(mu_);
-      cancelled_early = cancel_requested_.erase(*id) > 0;
-    }
-    if (cancelled_early) {
-      static auto& c_cancelled = obs::counter("serve.jobs_cancelled");
-      (void)store_.record_terminal(*id, JobPhase::kCancelled, "", "");
-      c_cancelled.add();
-      continue;
-    }
-    dispatch_one(*id);
-  }
-}
-
-void Service::dispatch_one(const std::string& id) {
-  std::string spec_json;
-  if (!util::read_file(store_.spec_path(id), &spec_json)) {
-    (void)store_.record_terminal(id, JobPhase::kFailed,
-                                 "spec file missing: " + store_.spec_path(id), "");
-    return;
-  }
-  auto parsed = api::parse_job_spec(spec_json);
-  if (!parsed.ok()) {
-    (void)store_.record_terminal(id, JobPhase::kFailed, parsed.status().to_string(), "");
-    return;
-  }
-  api::JobSpec spec = std::move(*parsed);
+util::Status Service::submit_locked(const std::string& id, api::JobSpec spec) {
   spec.name = id;
   if (opts_.max_job_timeout_s > 0 &&
       !(spec.pipeline.synth.timeout_s <= opts_.max_job_timeout_s)) {
@@ -455,40 +406,23 @@ void Service::dispatch_one(const std::string& id) {
     const int n = iters->fetch_add(1, std::memory_order_relaxed) + 1;
     (void)store_.record_progress(id, n);
   });
-  if (auto st = store_.record_running(id); !st.is_ok()) {
-    ABG_WARN("job %s: running record failed: %s", id.c_str(), st.to_string().c_str());
-  }
+  spec.with_start_callback([this, id] {
+    if (auto st = store_.record_running(id); !st.is_ok()) {
+      ABG_WARN("job %s: running record failed: %s", id.c_str(), st.to_string().c_str());
+    }
+  });
   // A fleet job is an engine job whose refinement passes run on the workers.
   if (coordinator_ && dist::spec_is_distributable(spec)) {
     spec.with_synthesizer(coordinator_->synthesizer(spec));
   }
   spec.with_completion_callback(
       [this, id](const api::JobResult& r) { on_job_complete(id, r); });
-  {
-    // Count the slot before submit: the driver may finish (and decrement)
-    // before submit() even returns.
-    std::lock_guard lk(mu_);
-    ++active_jobs_;
-  }
   auto handle = engine_->submit(std::move(spec));
-  if (!handle.ok()) {
-    {
-      std::lock_guard lk(mu_);
-      --active_jobs_;
-    }
-    slot_cv_.notify_all();
-    static auto& c_failed = obs::counter("serve.jobs_failed");
-    (void)store_.record_terminal(id, JobPhase::kFailed, handle.status().to_string(), "");
-    c_failed.add();
-    return;
-  }
-  bool cancel_now = false;
-  {
-    std::lock_guard lk(mu_);
-    handles_[id] = *handle;
-    cancel_now = cancel_requested_.erase(id) > 0;
-  }
-  if (cancel_now) handle->cancel();
+  if (!handle.ok()) return handle.status();
+  // on_job_complete erases this entry under mu_, which the caller holds
+  // until it is in.
+  handles_[id] = std::move(*handle);
+  return util::Status::ok();
 }
 
 void Service::on_job_complete(const std::string& id, const api::JobResult& r) {
@@ -543,48 +477,37 @@ void Service::on_job_complete(const std::string& id, const api::JobResult& r) {
       }
     }
   }
-  {
-    std::lock_guard lk(mu_);
-    if (active_jobs_ > 0) --active_jobs_;
-    handles_.erase(id);
-    cancel_requested_.erase(id);
-  }
-  slot_cv_.notify_all();
+  std::lock_guard lk(mu_);
+  handles_.erase(id);
 }
 
 void Service::drain_and_stop() {
-  if (!started_ || stopped_) return;
-  ABG_INFO("draining: admissions closed, parking %zu queued + %zu running jobs",
-           pending_.size(), [this] {
-             std::lock_guard lk(mu_);
-             return active_jobs_;
-           }());
-  // Running jobs park via on_complete: kCancelled while draining becomes a
+  // Every job parks via on_complete: kCancelled while draining becomes a
   // suspended record.
-  draining_.store(true, std::memory_order_release);
-  teardown();
+  stop(draining_);
 }
 
 void Service::abandon_for_test() {
-  if (!started_ || stopped_) return;
   // Kill -9 semantics: no suspended/terminal records, no compaction — the
   // WAL freezes exactly as it was. Cancellation only speeds up the teardown;
   // because `abandoned_` is set first, on_job_complete records nothing.
-  abandoned_.store(true, std::memory_order_release);
-  teardown();
+  stop(abandoned_);
 }
 
-void Service::teardown() {
-  pending_.close();
-  slot_cv_.notify_all();
-  // Dispatcher first: it drains the remaining queued ids (into "suspended"
-  // records when draining) and exits. Only then tear down the engine, so the
-  // dispatcher can never touch a dead engine pointer.
-  if (dispatcher_.joinable()) dispatcher_.join();
-  if (engine_) {
-    engine_->cancel_all();
-    engine_.reset();  // waits for drivers; each running job ends in on_complete
+void Service::stop(std::atomic<bool>& flag) {
+  if (!started_ || stopped_) return;
+  std::size_t jobs = 0;
+  {
+    std::lock_guard lk(mu_);
+    flag.store(true, std::memory_order_release);
+    jobs = handles_.size();
   }
+  ABG_INFO("admissions closed, ending %zu queued and running jobs", jobs);
+  // Queued jobs end inside cancel_all, on this thread; running ones unwind
+  // on their drivers. The engine itself lives on, idle, until ~Service, so
+  // queue_size() never reads a dead one.
+  engine_->cancel_all();
+  engine_->wait_all();
   store_.close();  // WAL fsync'd per record; close releases the fd
   if (lock_fd_ >= 0) {
     ::close(lock_fd_);

@@ -3,7 +3,9 @@
 //
 // CI runs the Scheduler* and SketchStream* suites under ThreadSanitizer
 // (`abg_tests_api --gtest_filter='Scheduler*:SketchStream*'`). Scheduler* is
-// deliberately Z3-free and simulator-free; SketchStream* runs real jobs,
+// deliberately Z3-free: its jobs fail on load or are cancelled before they
+// start (the two queue-cancel tests build real segments with the simulator,
+// but a correct Engine never searches them); SketchStream* runs real jobs,
 // whose prebuilt solver cannot be instrumented and is suppressed by library
 // (tests/tsan.supp). Keep new scheduler tests inside the first prefix and
 // synthesis out of them.
@@ -12,10 +14,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -564,6 +568,97 @@ TEST(Engine, CancelPreemptsJobWithBestSoFar) {
   EXPECT_TRUE(r.pipeline.synthesis.partial);
   EXPECT_EQ(r.exit_class(), util::exit_code(util::StatusCode::kCancelled));
   first->wait();
+}
+
+// A latch a test opens once. Its destructor opens it too, so a failed
+// assertion cannot leave a driver parked on it while the Engine drains.
+class Gate {
+ public:
+  ~Gate() { open(); }
+  void open() {
+    {
+      std::lock_guard lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock lk(mu_);
+    cv_.wait(lk, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// A job cancelled while it waits in the queue ends inside cancel(), on the
+// cancelling thread: it never starts, and it does not wait for the driver
+// the job ahead of it holds. That job is parked in its start callback, so
+// nothing here depends on timing.
+TEST(Scheduler, CancelledQueuedJobEndsWithoutStarting) {
+  std::atomic<int> starts{0}, completions{0};  // outlive the engine's jobs
+  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+  Gate parked, release;  // after the engine: opened before it drains
+  api::JobSpec first_spec;
+  first_spec.with_name("parked")
+      .add_trace_path("abg_scheduler_no_such_trace.csv")
+      .with_dsl("reno")
+      .with_start_callback([&] {
+        parked.open();
+        release.wait();
+      });
+  auto first = engine.submit(std::move(first_spec));
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  parked.wait();
+
+  auto spec = quick_job("cancelled", dsl::reno_dsl(), cca_segments("reno", 21));
+  spec.with_start_callback([&] { starts.fetch_add(1); })
+      .with_completion_callback([&](const api::JobResult&) { completions.fetch_add(1); });
+  auto second = engine.submit(std::move(spec));
+  ASSERT_TRUE(second.ok()) << second.status().to_string();
+  EXPECT_EQ(engine.jobs_queued(), 1u);
+  EXPECT_TRUE(second->cancel());
+  ASSERT_NE(second->poll(), nullptr) << "the cancelled job waits for the parked driver";
+  const api::JobResult& r = second->wait();
+  EXPECT_EQ(first->poll(), nullptr);
+  EXPECT_EQ(engine.jobs_queued(), 0u);
+  EXPECT_EQ(r.status.code(), util::StatusCode::kCancelled);
+  EXPECT_TRUE(r.pipeline.synthesis.partial);
+  EXPECT_EQ(r.pipeline.synthesis.total_sketches, 0u);
+  EXPECT_EQ(completions.load(), 1);
+  EXPECT_FALSE(second->cancel());  // already ended
+
+  release.open();
+  EXPECT_EQ(first->wait().status.code(), util::StatusCode::kIoError);
+  engine.wait_all();
+  EXPECT_EQ(starts.load(), 0);
+  EXPECT_EQ(completions.load(), 1);
+}
+
+// A job whose caller token fired before it was submitted is ended by the
+// driver that picks it up, before anything of the search runs.
+TEST(Scheduler, JobCancelledBeforeSubmitNeverStarts) {
+  util::CancellationToken caller;  // outlives the engine's use of it
+  caller.cancel();
+  auto& enumerated = obs::counter("synth.sketches_enumerated");
+  const std::uint64_t enumerated_before = enumerated.value();
+  std::atomic<int> starts{0};
+  auto spec = quick_job("pre-cancelled", dsl::reno_dsl(), cca_segments("reno", 21));
+  spec.pipeline.synth.cancel = &caller;
+  spec.with_start_callback([&] { starts.fetch_add(1); });
+
+  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+  auto h = engine.submit(std::move(spec));
+  ASSERT_TRUE(h.ok()) << h.status().to_string();
+  const api::JobResult& r = h->wait();
+  EXPECT_EQ(r.status.code(), util::StatusCode::kCancelled);
+  EXPECT_TRUE(r.pipeline.synthesis.partial);
+  EXPECT_EQ(r.exit_class(), util::exit_code(util::StatusCode::kCancelled));
+  EXPECT_EQ(r.pipeline.synthesis.total_sketches, 0u);
+  EXPECT_EQ(enumerated.value(), enumerated_before);
+  EXPECT_EQ(starts.load(), 0);
 }
 
 TEST(Engine, AutoNamesAndDestructorDrains) {
@@ -1136,6 +1231,75 @@ TEST(Memory, FinishedJobsReleaseTheirInputs) {
   const double after = heap_in_use_mb();
   EXPECT_LE(after - before, 16.0) << "in-use heap " << before << " -> " << after << " MB";
 #endif
+}
+
+// A long-lived Engine (abagnale_serve's) must not grow with the jobs it has
+// served. About 200 small jobs run to completion one after another, three
+// times past the finished-jobs window: the Engine lists at most the live
+// jobs plus the last kFinishedJobsKept, and once that window is full (from
+// job 80 on) the in-use heap stays flat. Submit latency is printed for the
+// record, not asserted: it is a copy of a list this bounded.
+TEST(Memory, EngineStaysFlatPastTheFinishedWindow) {
+  constexpr int kJobs = 200;
+  constexpr int kSteady = 80;
+  const auto segs = cca_segments("reno", 21);
+  synth::SynthesisOptions o;
+  o.initial_samples = 2;
+  o.concretize_budget = 4;
+  o.max_iterations = 1;
+  o.max_depth = 2;
+  o.max_nodes = 3;
+  o.max_holes = 1;
+  o.seed = 3;
+#if defined(__GLIBC__) && !defined(ABG_TEST_SANITIZER_MALLOC)
+  const auto heap_in_use_mb = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return static_cast<double>(m.uordblks + m.hblkhd) / (1 << 20);
+  };
+  double steady_mb = 0.0;
+#endif
+
+  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+  std::vector<double> submit_us;
+  for (int i = 0; i < kJobs; ++i) {
+#if defined(__GLIBC__) && !defined(ABG_TEST_SANITIZER_MALLOC)
+    if (i == kSteady) steady_mb = heap_in_use_mb();
+#endif
+    api::JobSpec spec;
+    spec.with_name("soak-" + std::to_string(i))
+        .with_segments(segs)
+        .with_custom_dsl(dsl::reno_dsl())
+        .with_synthesis_options(o);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto h = engine.submit(std::move(spec));
+    submit_us.push_back(
+        std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0).count());
+    ASSERT_TRUE(h.ok()) << h.status().to_string();
+    ASSERT_TRUE(h->wait().ok()) << h->wait().status.to_string();
+    // This job is done; the driver that ran it may not have left the live
+    // list yet.
+    EXPECT_LE(engine.jobs_snapshot().size(),
+              engine.options().max_concurrent_jobs + api::Engine::kFinishedJobsKept)
+        << "after job " << i;
+  }
+  engine.wait_all();
+  EXPECT_EQ(engine.jobs_snapshot().size(), api::Engine::kFinishedJobsKept);
+#if defined(__GLIBC__) && !defined(ABG_TEST_SANITIZER_MALLOC)
+  const double end_mb = heap_in_use_mb();
+  EXPECT_LE(end_mb - steady_mb, 1.0)
+      << "in-use heap " << steady_mb << " MB at job " << kSteady << ", " << end_mb
+      << " MB after job " << kJobs;
+  std::printf("in-use heap: %.2f MB at job %d, %.2f MB after job %d\n", steady_mb, kSteady,
+              end_mb, kJobs);
+#endif
+  const auto median_us = [&](int from, int to) {
+    std::vector<double> v(submit_us.begin() + from, submit_us.begin() + to);
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  std::printf("submit latency (median): %.1f us over jobs 0-%d, %.1f us over jobs %d-%d\n",
+              median_us(0, kSteady), kSteady - 1, median_us(kSteady, kJobs), kSteady,
+              kJobs - 1);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -34,7 +35,6 @@
 #include "obs/registry.hpp"
 #include "serve/admission.hpp"
 #include "serve/job_store.hpp"
-#include "serve/queue.hpp"
 #include "serve/service.hpp"
 #include "serve/wal.hpp"
 #include "trace/trace_io.hpp"
@@ -349,26 +349,7 @@ TEST(JobStore, InjectedIoFaultSurfacesAsCleanErrorWithQueueIntact) {
   EXPECT_EQ(reopened.records().size(), 2u);
 }
 
-// --- PendingQueue & admission ------------------------------------------------
-
-TEST(PendingQueue, BoundsRemovalAndClose) {
-  PendingQueue q(2);
-  EXPECT_TRUE(q.try_push("j-1"));
-  EXPECT_TRUE(q.try_push("j-2"));
-  EXPECT_FALSE(q.try_push("j-3"));  // full => shed
-  EXPECT_TRUE(q.remove("j-1"));
-  EXPECT_FALSE(q.remove("j-1"));
-  EXPECT_EQ(q.size(), 1u);
-  q.push_recovered("j-4");  // capacity-exempt
-  q.push_recovered("j-5");
-  EXPECT_EQ(q.size(), 3u);
-  q.close();
-  EXPECT_FALSE(q.try_push("j-6"));
-  EXPECT_EQ(*q.pop_wait(), "j-2");  // queued ids stay poppable after close
-  EXPECT_EQ(*q.pop_wait(), "j-4");
-  EXPECT_EQ(*q.pop_wait(), "j-5");
-  EXPECT_FALSE(q.pop_wait().has_value());  // closed and drained
-}
+// --- Admission ---------------------------------------------------------------
 
 TEST(Admission, TokenBucketRefillsOnDeterministicClock) {
   double now = 0.0;
@@ -651,6 +632,78 @@ TEST(ServiceHttp, DeleteCancelsARunningJob) {
   }
 }
 
+// DELETE of a job still waiting for the driver ends it at once, before the
+// response: 200 "cancelled", it leaves the queue, it never gets a running
+// record, and the job that holds the driver runs on to its solo result.
+// (One more job sits between the two, so the cancelled one waits in the
+// queue whether or not the job next in line counts as queued.)
+TEST(ServiceHttp, DeleteOfAQueuedJobCancelsItAtOnce) {
+  std::string solo_handler;
+  double solo_distance = 0.0;
+  {
+    auto spec = api::parse_job_spec(quick_spec_json());
+    ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+    api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+    auto handle = engine.submit(std::move(*spec));
+    ASSERT_TRUE(handle.ok()) << handle.status().to_string();
+    const api::JobResult& r = handle->wait();
+    ASSERT_TRUE(r.found()) << r.status.to_string();
+    solo_handler = r.pipeline.handler_string();
+    solo_distance = r.pipeline.distance();
+  }
+
+  const std::string dir = fresh_dir("delete_queued");
+  Service service(quick_service_opts(dir));
+  ASSERT_TRUE(service.start().is_ok());
+  obs::StatusServer server;
+  service.mount(server);
+  std::string err;
+  ASSERT_TRUE(server.start(0, &err)) << err;
+  auto submit = [&] {
+    const std::string resp = http_post(server.port(), "/jobs", quick_spec_json());
+    EXPECT_NE(resp.find("HTTP/1.1 202"), std::string::npos) << resp;
+    return json_field(body_of(resp), "id");
+  };
+
+  const std::string running = submit();
+  ASSERT_TRUE(wait_for([&] {
+    JobRecord rec;
+    return service.store().lookup(running, &rec) && rec.phase == JobPhase::kRunning;
+  }));
+  const std::string next = submit();
+  const std::string queued = submit();
+  const std::size_t queue_before = service.queue_size();
+  ASSERT_GE(queue_before, 1u);
+
+  const std::string del = http_request(
+      server.port(), "DELETE /jobs/" + queued + " HTTP/1.1\r\nHost: x\r\n\r\n");
+  ASSERT_NE(del.find("HTTP/1.1 200"), std::string::npos) << del;
+  EXPECT_EQ(json_field(body_of(del), "state"), "cancelled");
+  EXPECT_EQ(service.queue_size(), queue_before - 1);
+  JobRecord rec;
+  ASSERT_TRUE(service.store().lookup(queued, &rec));
+  EXPECT_EQ(rec.phase, JobPhase::kCancelled) << job_phase_name(rec.phase);
+  ASSERT_TRUE(service.store().lookup(running, &rec));
+  EXPECT_FALSE(job_phase_terminal(rec.phase)) << job_phase_name(rec.phase);
+
+  ASSERT_TRUE(wait_terminal(service, running, &rec));
+  ASSERT_EQ(rec.phase, JobPhase::kDone) << rec.error;
+  auto doc = util::parse_json(read_file(service.store().result_path(running)));
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->find("handler")->as_string(), solo_handler);
+  EXPECT_EQ(doc->find("distance")->as_double(), solo_distance);
+  ASSERT_TRUE(wait_terminal(service, next, &rec));
+  EXPECT_EQ(rec.phase, JobPhase::kDone) << rec.error;
+  EXPECT_EQ(service.queue_size(), 0u);
+
+  auto replayed = Wal::replay_file(dir + "/wal.log");
+  ASSERT_TRUE(replayed.ok());
+  for (const auto& r : *replayed) EXPECT_NE(r, "running\t" + queued);
+
+  server.stop();
+  service.drain_and_stop();
+}
+
 // --- Crash and drain recovery ------------------------------------------------
 
 // The tentpole guarantee: kill -9 mid-refinement, restart on the same state
@@ -768,6 +821,47 @@ TEST(ServeRecovery, GracefulDrainParksJobsAndRestartFinishesThem) {
   service.drain_and_stop();
 }
 
+// Submits that race a drain are parked or shed, never run: a client thread
+// keeps submitting while the service drains, and afterwards every job it
+// was told was queued is parked as suspended (or finished before the drain
+// reached it), and every job it was refused was never started.
+TEST(ServeRecovery, SubmitsRacingADrainAreParkedOrShed) {
+  const std::string dir = fresh_dir("drain_race");
+  ServiceOptions opts = quick_service_opts(dir);
+  opts.queue_depth = 1000;
+  Service service(opts);
+  ASSERT_TRUE(service.start().is_ok());
+  std::vector<std::string> accepted;
+  std::thread client([&] {
+    for (;;) {
+      const auto resp =
+          service.handle_submit(obs::HttpRequest{"POST", "/jobs", "", {}, quick_spec_json()});
+      if (resp.code != 202) {
+        EXPECT_EQ(resp.code, 503) << resp.body;
+        return;
+      }
+      accepted.push_back(json_field(resp.body, "id"));
+    }
+  });
+  const bool backlog = wait_for([&] { return service.queue_size() >= 3; }, 30.0);
+  service.drain_and_stop();
+  client.join();
+  ASSERT_TRUE(backlog);
+
+  ASSERT_FALSE(accepted.empty());
+  for (const auto& rec : service.store().records()) {
+    SCOPED_TRACE(rec.id);
+    if (std::find(accepted.begin(), accepted.end(), rec.id) != accepted.end()) {
+      EXPECT_TRUE(rec.phase == JobPhase::kSuspended || rec.phase == JobPhase::kDone)
+          << job_phase_name(rec.phase);
+    } else {
+      // Refused after its submit record: failed, and never started.
+      EXPECT_EQ(rec.phase, JobPhase::kFailed) << job_phase_name(rec.phase);
+      EXPECT_EQ(rec.iterations, 0);
+    }
+  }
+}
+
 // --- Distributed dispatch ------------------------------------------------------
 
 // Virtual size of this process in kB (/proc/self/status VmSize).
@@ -860,6 +954,37 @@ TEST(ServeDist, DistributedJobIsAnEngineJob) {
   const double seconds = doc->find("seconds")->as_double();
   EXPECT_GT(seconds, 0.0);
   EXPECT_EQ(obs::gauge("api.job.seconds", {{"job", id}, {"cca", "reno"}}).last(), seconds);
+  service.drain_and_stop();
+}
+
+// Each coordinator process numbers its fleet loads from a random base, so two
+// daemons sharing a worker do not both load it as epoch 1; the numbers stay
+// below 2^53, which the wire's JSON numbers carry exactly.
+TEST(ServeDist, FleetEpochsStartAtARandomBase) {
+  dist::Worker worker;
+  obs::StatusServer worker_server;  // declared after worker: stops before it dies
+  worker.mount(worker_server);
+  std::string err;
+  ASSERT_TRUE(worker_server.start(0, &err)) << err;
+
+  const std::string dir = fresh_dir("dist_epoch");
+  ServiceOptions opts = quick_service_opts(dir);
+  opts.dist.workers = {{"127.0.0.1", worker_server.port()}};
+  Service service(opts);
+  ASSERT_TRUE(service.start().is_ok());
+  const auto resp =
+      service.handle_submit(obs::HttpRequest{"POST", "/jobs", "", {}, quick_spec_json()});
+  ASSERT_EQ(resp.code, 202) << resp.body;
+  JobRecord rec;
+  ASSERT_TRUE(wait_terminal(service, json_field(resp.body, "id"), &rec));
+  ASSERT_EQ(rec.phase, JobPhase::kDone) << rec.error;
+
+  auto status = util::parse_json(body_of(http_get(worker_server.port(), "/v1/shard/status")));
+  ASSERT_TRUE(status.ok());
+  std::uint64_t epoch = 0;
+  ASSERT_TRUE(util::json_integer(*status->find("epoch"), &epoch));  // < 2^53 or refused
+  EXPECT_NE(epoch, 1u);
+  EXPECT_LT(epoch, std::uint64_t{1} << 53);
   service.drain_and_stop();
 }
 
