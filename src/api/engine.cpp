@@ -410,9 +410,7 @@ void Engine::driver_loop() {
 }
 
 void Engine::end_unstarted(const std::shared_ptr<detail::JobInner>& job) {
-  // cancel() sets the flag a moment before the reason.
-  util::StatusCode reason = job->token.reason();
-  if (reason == util::StatusCode::kOk) reason = util::StatusCode::kCancelled;
+  const util::StatusCode reason = job->token.reason();
   JobResult& out = job->result;
   out.status = util::Status(reason, "job cancelled before it started");
   if (out.kind == JobSpec::Kind::kPipeline) {

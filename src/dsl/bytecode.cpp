@@ -1,6 +1,5 @@
 #include "dsl/bytecode.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 
@@ -10,9 +9,9 @@ namespace abg::dsl {
 
 namespace {
 
-// Operand-stack capacity the interpreters keep on the C stack. The DSL's
+// Operand-stack depth the interpreter keeps on the C stack. The DSL's
 // enumerator caps expressions far below this; compile() reports the true
-// high-water mark and the interpreters fall back to a heap stack above it.
+// high-water mark and the interpreter falls back to a heap stack above it.
 constexpr std::size_t kBcStackCap = 64;
 
 struct Compiler {
@@ -96,13 +95,6 @@ struct Compiler {
   }
 };
 
-inline double hole_binding(std::span<const double> holes, std::size_t slot) {
-  // fill_holes's clamp: an empty binding vector means 1.0, a short one
-  // repeats its last element.
-  if (holes.empty()) return 1.0;
-  return holes[std::min(slot, holes.size() - 1)];
-}
-
 inline double mod_eq_pred(double a, double b) {
   const double fa = std::fabs(a);
   const double fb = std::fabs(b);
@@ -111,73 +103,10 @@ inline double mod_eq_pred(double a, double b) {
   return (r <= kModTolerance * fb || r >= fb * (1.0 - kModTolerance)) ? 1.0 : 0.0;
 }
 
-double exec(const Program& p, const cca::Signals& sig, std::span<const double> holes,
-            double* stack) {
-  double* sp = stack;  // points one past the top
-  for (const BcInst inst : p.code) {
-    switch (inst.op) {
-      case BcOp::kPushSignal:
-        *sp++ = signal_value(static_cast<Signal>(inst.arg), sig);
-        break;
-      case BcOp::kPushConst:
-        *sp++ = p.consts[inst.arg];
-        break;
-      case BcOp::kPushHole:
-        *sp++ = hole_binding(holes, inst.arg);
-        break;
-      case BcOp::kAdd:
-        sp[-2] = sp[-2] + sp[-1];
-        --sp;
-        break;
-      case BcOp::kSub:
-        sp[-2] = sp[-2] - sp[-1];
-        --sp;
-        break;
-      case BcOp::kMul:
-        sp[-2] = sp[-2] * sp[-1];
-        --sp;
-        break;
-      case BcOp::kDivGuard:
-        sp[-2] = sp[-1] != 0.0 ? sp[-2] / sp[-1] : 0.0;
-        --sp;
-        break;
-      case BcOp::kCube: {
-        const double v = sp[-1];
-        sp[-1] = v * v * v;
-        break;
-      }
-      case BcOp::kCbrt:
-        sp[-1] = std::cbrt(sp[-1]);
-        break;
-      case BcOp::kLt:
-        sp[-2] = sp[-2] < sp[-1] ? 1.0 : 0.0;
-        --sp;
-        break;
-      case BcOp::kGt:
-        sp[-2] = sp[-2] > sp[-1] ? 1.0 : 0.0;
-        --sp;
-        break;
-      case BcOp::kModEq:
-        sp[-2] = mod_eq_pred(sp[-2], sp[-1]);
-        --sp;
-        break;
-      case BcOp::kSelect:
-        sp[-3] = sp[-3] != 0.0 ? sp[-2] : sp[-1];
-        sp -= 2;
-        break;
-      case BcOp::kPushFalse:
-        *sp++ = 0.0;
-        break;
-    }
-  }
-  return sp == stack ? 0.0 : sp[-1];
-}
-
-// Lane-strided variant: slot i of the operand stack occupies
-// stacks[i * kBatchLanes .. +n_lanes). Every opcode applies elementwise, so
-// lane L's value stream is exactly the stream exec() would produce for the
-// same program with lane L's cwnd and bindings — bit-identical by
-// construction (same ops, same order, no cross-lane arithmetic).
+// Slot i of the operand stack occupies stacks[i * kBatchLanes .. +n_lanes).
+// Every opcode applies elementwise and performs eval's arithmetic on the same
+// doubles in the same order, so lane L's value is eval's for lane L's cwnd
+// and bindings, bit for bit (no cross-lane arithmetic).
 void exec_batch(const Program& p, const cca::Signals& sig, std::span<const double> lane_cwnd,
                 std::span<const double> holes, std::size_t n_lanes, double* stacks,
                 double* out) {
@@ -304,15 +233,6 @@ Program compile(const Expr& e) {
   c.prog.hole_slots = ids.size();
   c.lower(e);
   return std::move(c.prog);
-}
-
-double run(const Program& p, const cca::Signals& sig, std::span<const double> holes) {
-  if (p.max_stack <= kBcStackCap) {
-    double stack[kBcStackCap];
-    return exec(p, sig, holes, stack);
-  }
-  std::vector<double> stack(p.max_stack);
-  return exec(p, sig, holes, stack.data());
 }
 
 void run_batch(const Program& p, const cca::Signals& sig, std::span<const double> lane_cwnd,

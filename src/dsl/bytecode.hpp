@@ -1,22 +1,24 @@
-// Flat bytecode form of handler expressions (ISSUE 7). The tree-walking
-// dsl::eval is the semantic oracle; compile() lowers an expression to a
-// postfix program whose single-lane interpreter run() is instruction-for-
-// instruction equivalent to eval, and whose batched interpreter run_batch()
-// evaluates the same program for kBatchLanes hole-assignments in lockstep.
+// Flat bytecode form of handler expressions. The tree-walking dsl::eval is
+// the semantic reference; compile() lowers an expression to a postfix
+// program, and run_batch() evaluates it for up to kBatchLanes
+// hole-assignments in lockstep. It is the only interpreter: refinement passes
+// and final validation both score candidates through it (synth::replay_batch),
+// and eval stays as the reference that tests compare it against.
 //
 // Why this preserves bit-exactness: every opcode performs exactly the
 // arithmetic eval performs, in the same order, on the same doubles. The only
-// structural deviations are evaluation-completeness ones — run() evaluates
-// both sides of a guarded division and both arms of a conditional where eval
-// short-circuits — and those cannot change the result because eval is pure
-// and total (no side effects, every subexpression defined on every input).
-// The selected value is computed by the identical expression either way.
+// structural deviations are evaluation-completeness ones — run_batch
+// evaluates both sides of a guarded division and both arms of a conditional
+// where eval short-circuits — and those cannot change the result because
+// eval is pure and total (no side effects, every subexpression defined on
+// every input). The selected value is computed by the identical expression
+// either way.
 //
 // Holes compile to lane-varying input slots instead of being substituted, so
 // one compiled sketch serves every concretization. Slot numbering matches
 // hole_ids()/fill_holes(): slot = position of the hole id in first-
-// appearance order, and a binding vector shorter than the slot count repeats
-// its last element (fill_holes's clamp), with the empty vector meaning 1.0.
+// appearance order (synth::replay_batch applies fill_holes's clamp when it
+// lays out the bindings).
 #pragma once
 
 #include <cstdint>
@@ -66,17 +68,12 @@ inline constexpr std::size_t kBatchLanes = 8;
 // Lower an expression (holes allowed) to bytecode.
 Program compile(const Expr& e);
 
-// Evaluate one lane. `holes[slot]` binds hole slot `slot`; pass an empty
-// span for the hole-free case (any residual hole then reads 1.0, matching
-// eval's defensive default). Bit-identical to
-// eval(*fill_holes(e, values), sig).
-double run(const Program& p, const cca::Signals& sig, std::span<const double> holes);
-
 // Evaluate `n_lanes` (<= kBatchLanes) assignments of the same program in
 // lockstep. Signals broadcast across lanes except the window: lane L reads
 // cwnd = lane_cwnd[L] (and the kRenoInc macro re-derives from it). Hole
 // bindings are slot-major: holes[slot * n_lanes + lane]. out[L] receives
-// lane L's value and is bit-identical to a run() of that lane alone.
+// lane L's value and is bit-identical to
+// eval(*fill_holes(e, lane L's bindings), sig) with sig.cwnd = lane_cwnd[L].
 void run_batch(const Program& p, const cca::Signals& sig,
                std::span<const double> lane_cwnd, std::span<const double> holes,
                std::size_t n_lanes, double* out);

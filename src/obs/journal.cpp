@@ -58,7 +58,6 @@ struct Journal {
   // Epoch as steady-clock nanoseconds; atomic so producers can read it
   // without the mutex (a stale read only shifts a timestamp, never races).
   std::atomic<std::uint64_t> epoch_ns{0};
-  std::atomic<std::uint32_t> sample_every{1};
   std::atomic<std::size_t> ring_capacity{8192};
 };
 
@@ -83,7 +82,6 @@ struct Tls {
   std::uint32_t iter = 0;
   bool in_scope = false;
   bool in_candidate = false;
-  bool sampled = false;
   std::uint64_t sketch = 0;
   std::uint64_t candidate = 0;
   std::uint64_t cells = 0;
@@ -192,8 +190,6 @@ bool journal_start(const JournalOptions& opts, std::string* err) {
   j.written = 0;
   j.recorded.store(0, std::memory_order_relaxed);
   for (auto& k : j.by_kind) k.store(0, std::memory_order_relaxed);
-  j.sample_every.store(opts.sample_every == 0 ? 1 : opts.sample_every,
-                       std::memory_order_relaxed);
   const std::size_t cap = opts.ring_capacity == 0 ? 1 : opts.ring_capacity;
   j.ring_capacity.store(cap, std::memory_order_relaxed);
   // Discard anything a previous session left behind in the rings (events
@@ -269,9 +265,8 @@ JournalScope::JournalScope(std::uint32_t job, std::uint32_t bucket, std::uint32_
   Tls& t = t_journal;
   prev_[0] = (static_cast<std::uint64_t>(t.job) << 32) | t.bucket;
   prev_[1] = (static_cast<std::uint64_t>(t.iter) << 32) |
-             (static_cast<std::uint64_t>(t.in_scope) << 2) |
-             (static_cast<std::uint64_t>(t.in_candidate) << 1) |
-             static_cast<std::uint64_t>(t.sampled);
+             (static_cast<std::uint64_t>(t.in_scope) << 1) |
+             static_cast<std::uint64_t>(t.in_candidate);
   prev_[2] = t.sketch;
   prev_[3] = t.candidate;
   prev_[4] = t.cells;
@@ -281,7 +276,6 @@ JournalScope::JournalScope(std::uint32_t job, std::uint32_t bucket, std::uint32_
   t.iter = iter;
   t.in_scope = true;
   t.in_candidate = false;
-  t.sampled = false;
   t.sketch = 0;
   t.candidate = 0;
   t.cells = 0;
@@ -293,9 +287,8 @@ JournalScope::~JournalScope() {
   t.job = static_cast<std::uint32_t>(prev_[0] >> 32);
   t.bucket = static_cast<std::uint32_t>(prev_[0]);
   t.iter = static_cast<std::uint32_t>(prev_[1] >> 32);
-  t.in_scope = (prev_[1] & 4) != 0;
-  t.in_candidate = (prev_[1] & 2) != 0;
-  t.sampled = (prev_[1] & 1) != 0;
+  t.in_scope = (prev_[1] & 2) != 0;
+  t.in_candidate = (prev_[1] & 1) != 0;
   t.sketch = prev_[2];
   t.candidate = prev_[3];
   t.cells = prev_[4];
@@ -311,14 +304,11 @@ void journal_begin_candidate(std::uint64_t sketch_hash, std::uint64_t fingerprin
   t.cells = 0;
   t.segment = kJournalNoSegment;
   t.in_candidate = true;
-  const std::uint32_t every = journal().sample_every.load(std::memory_order_relaxed);
-  t.sampled = every <= 1 || (fingerprint % every) == 0;
 }
 
 void journal_end_candidate() {
   Tls& t = t_journal;
   t.in_candidate = false;
-  t.sampled = false;
   t.sketch = 0;
   t.candidate = 0;
   t.cells = 0;
@@ -327,10 +317,8 @@ void journal_end_candidate() {
 
 bool journal_in_candidate() {
   const Tls& t = t_journal;
-  return journal_enabled() && t.in_scope && t.in_candidate && t.sampled;
+  return journal_enabled() && t.in_scope && t.in_candidate;
 }
-
-bool journal_candidate_sampled() { return t_journal.in_candidate && t_journal.sampled; }
 
 void journal_set_segment(std::uint32_t index) { t_journal.segment = index; }
 

@@ -84,7 +84,6 @@ static_assert(sizeof(JournalRecord) == 64, "journal records are 64-byte");
 struct JournalOptions {
   std::string path;                   // required: the journal file
   std::size_t ring_capacity = 8192;   // records per thread ring (512 KiB)
-  std::uint32_t sample_every = 1;     // 1 = full; N = ~1/N of candidates
   int drain_interval_ms = 2;          // background drain period
 };
 
@@ -139,17 +138,13 @@ bool journal_in_scope();
 // --- Candidate lifecycle (refinement's score_sketch) ------------------------
 
 // Begin a candidate: records which sketch/assignment the distance layer's
-// events should attribute to, decides sampling, and zeroes the per-candidate
-// cell tally. Pair with journal_end_candidate().
+// events should attribute to and zeroes the per-candidate cell tally. Pair with journal_end_candidate().
 void journal_begin_candidate(std::uint64_t sketch_hash, std::uint64_t fingerprint);
 void journal_end_candidate();
 
-// True when inside a begun, sampled candidate in an active scope — the guard
-// the distance layer and eval cache use.
+// True when inside a begun candidate in an active scope — the guard the
+// distance layer and eval cache use.
 bool journal_in_candidate();
-
-// Current candidate's sampling decision (false outside a candidate).
-bool journal_candidate_sampled();
 
 // The working-set segment currently being evaluated (total_distance's loop).
 void journal_set_segment(std::uint32_t index);

@@ -122,7 +122,6 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
   std::vector<BatchEntry> window;
   window.reserve(2 * dsl::kBatchLanes);
   std::size_t n_pending = 0;
-  std::size_t evaluated = 0;
 
   auto flush = [&] {
     if (!window.empty() && n_pending > 0) {
@@ -206,11 +205,10 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
       flush();
       if (best.valid()) break;
     }
-    ++evaluated;
     std::uint64_t fp = 0;
     if (jrn) {
-      // kEnumerated at the same point as ++evaluated, so the funnel's top
-      // reconciles exactly with total_handlers_scored.
+      // kEnumerated at the same point as ++*handlers_scored, so the funnel's
+      // top reconciles exactly with total_handlers_scored.
       fp = obs::journal_fingerprint(sketch_hash, assign);
       obs::journal_begin_candidate(sketch_hash, fp);
       obs::journal_record_candidate(obs::JournalKind::kEnumerated, cutoff, 0);
@@ -247,10 +245,6 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
     if (n_pending >= dsl::kBatchLanes) flush();
   }
   flush();
-  // Same count as handlers_scored above, so the registry and the per-bucket
-  // fields cannot drift (test_obs asserts they agree).
-  static auto& c_scored = obs::counter("synth.handlers_scored");
-  c_scored.add(evaluated);
   return best;
 }
 
@@ -267,11 +261,14 @@ std::optional<std::pair<std::size_t, std::size_t>> SynthesisResult::bucket_rank(
 ScoredHandler validate_candidates(const std::vector<ScoredHandler>& candidates,
                                   const std::vector<trace::Segment>& validation,
                                   const SynthesisOptions& opts, std::size_t* validated) {
+  // Each distinct candidate is scored as a hole-free sketch, through the
+  // compiled replay and per-segment abandon loop of the refinement passes.
   // The running winner's distance is the abandon bound: a candidate cut off
   // there can never beat it, so the winner is the first candidate with the
   // minimum distance, exactly as without the bound.
   std::vector<std::pair<std::size_t, const dsl::Expr*>> seen;  // (hash, handler)
   ScoredHandler winner;
+  util::Rng rng(0);  // a hole-free sketch draws no assignment
   for (const auto& c : candidates) {
     const std::size_t h = dsl::hash_expr(*c.handler);
     if (std::any_of(seen.begin(), seen.end(), [&](const auto& s) {
@@ -280,9 +277,9 @@ ScoredHandler validate_candidates(const std::vector<ScoredHandler>& candidates,
       continue;
     }
     seen.emplace_back(h, c.handler.get());
-    const double cutoff =
-        opts.early_abandon ? winner.distance : std::numeric_limits<double>::infinity();
-    const double d = total_distance(*c.handler, validation, opts.metric, opts.dopts, {}, cutoff);
+    EvalContext ctx;
+    ctx.abandon_above = winner.distance;
+    const double d = score_sketch(c.handler, validation, {}, opts, rng, nullptr, &ctx).distance;
     if (d < winner.distance) {
       winner = c;
       winner.distance = d;

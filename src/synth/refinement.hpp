@@ -81,22 +81,24 @@ struct SynthesisOptions {
   // work is done, never the result: the selected handlers and reported
   // distances are bit-identical with them on or off (asserted by the golden
   // test in tests/test_fast_path.cpp).
-  // Memoize total_distance by (canonical handler, working-set fingerprint),
-  // shared across buckets and iterations ("synth.cache_hits"/"_misses").
+  // Memoize candidate distances by (canonical handler, working-set
+  // fingerprint), shared across buckets and iterations
+  // ("synth.cache_hits"/"_misses").
   bool use_eval_cache = true;
-  // Thread the running best distance into total_distance/DTW so hopeless
-  // candidates abandon early ("distance.early_abandons",
+  // Thread the running best distance into the per-segment sum and DTW so
+  // hopeless candidates abandon early ("distance.early_abandons",
   // "synth.distance_abandons").
   bool early_abandon = true;
 
   // --- Data-parallel evaluation. score_sketch always compiles
   // each sketch to bytecode once and replays one segment across up to
-  // dsl::kBatchLanes hole-assignments in lockstep; the tree-walk replay()
-  // remains the oracle it is tested against. Like the fast-path knobs
-  // above, the kernel tier changes only how the work is done, never the
-  // result the refinement loop consumes (same golden test). The DTW kernel
-  // is a property of the process (ABG_SIMD, else the CPU; see
-  // distance::resolve_simd); dopts.simd pins it per call.
+  // dsl::kBatchLanes hole-assignments in lockstep; final validation scores
+  // through it too. The tree-walk replay()/total_distance remain the oracle
+  // it is tested against. Like the fast-path knobs above, the kernel tier
+  // changes only how the work is done, never the result the refinement loop
+  // consumes (same golden test). The DTW kernel is a property of the process
+  // (ABG_SIMD, else the CPU; see distance::resolve_simd); dopts.simd pins it
+  // per call.
 
   // --- Search forensics (ISSUE 6). When true AND a process-wide journal is
   // armed (obs::journal_start), this run emits one event per candidate
@@ -227,10 +229,11 @@ struct EvalContext {
 };
 
 // Score one sketch against a working set of segments: concretize (§4.2),
-// replay every handler, return the best. `handlers_scored` is incremented
-// by the number of concrete handlers evaluated (cache hits included — a hit
-// is a scored handler whose distance was reused, keeping the Table 4 / §6
-// accounting identical with the fast path on).
+// replay every handler, return the best. A hole-free sketch is its one
+// handler (final validation scores candidates this way). `handlers_scored`
+// is incremented by the number of concrete handlers evaluated (cache hits
+// included — a hit is a scored handler whose distance was reused, keeping
+// the Table 4 / §6 accounting identical with the fast path on).
 //
 // With a context: candidates whose true distance is >= ctx->abandon_above
 // may come back with distance = +inf instead of their exact score. The
@@ -244,10 +247,11 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
                            EvalContext* ctx = nullptr);
 
 // Final validation (§3.2): scores each distinct candidate handler once, in
-// candidate order, on `validation`, and returns the first candidate with the
-// minimum distance (invalid if there is none). Two handlers are the same
-// only if dsl::equal; equal hash_expr values merely bucket them. *validated
-// counts the distinct handlers scored.
+// candidate order, on `validation` through score_sketch, and returns the
+// first candidate with the minimum distance (invalid if there is none).
+// The distance is bit-identical to total_distance's. Two handlers are the
+// same only if dsl::equal; equal hash_expr values merely bucket them.
+// *validated counts the distinct handlers scored.
 ScoredHandler validate_candidates(const std::vector<ScoredHandler>& candidates,
                                   const std::vector<trace::Segment>& validation,
                                   const SynthesisOptions& opts, std::size_t* validated);

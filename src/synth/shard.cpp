@@ -122,6 +122,7 @@ ScoredHandler score_bucket_pass(const dsl::Dsl& dsl, const SynthesisOptions& opt
                                 const std::vector<trace::Segment>& working, EvalContext* ctx,
                                 const std::function<bool()>& stop) {
   ScoredHandler bucket_best;
+  const std::size_t scored_before = st.handlers_scored;
   for (const auto& sk : st.sketches) {
     // Bound by this bucket's own best, not the global one: the per-bucket
     // minimum feeds the top-k ranking and must stay exact.
@@ -131,6 +132,11 @@ ScoredHandler score_bucket_pass(const dsl::Dsl& dsl, const SynthesisOptions& opt
     if (scored.distance < bucket_best.distance) bucket_best = scored;
     if (stop() && bucket_best.valid()) break;
   }
+  // Counted from the bucket's own tally, so the registry and the per-bucket
+  // fields cannot drift (test_obs asserts they agree). Final validation
+  // scores through score_sketch too and stays uncounted.
+  static auto& c_scored = obs::counter("synth.handlers_scored");
+  c_scored.add(st.handlers_scored - scored_before);
   st.best = bucket_best;
   return bucket_best;
 }

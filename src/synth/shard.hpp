@@ -87,7 +87,8 @@ util::Status enumerate_bucket_sketches(const dsl::Dsl& dsl, const SynthesisOptio
 // sketch bounded by the bucket's own running best (the per-bucket minimum
 // feeds the top-k ranking and must stay exact). Sets st.best and returns it.
 // `stop` is polled after every sketch; once a valid best exists a fired stop
-// ends the pass with best-so-far.
+// ends the pass with best-so-far. Adds the handlers it scores to both
+// st.handlers_scored and the "synth.handlers_scored" counter.
 ScoredHandler score_bucket_pass(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                                 BucketSearchState& st,
                                 const std::vector<trace::Segment>& working, EvalContext* ctx,

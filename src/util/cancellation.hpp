@@ -4,7 +4,7 @@
 // enumerator/the scoring pool, which poll it at safe points and unwind with
 // their best-so-far state instead of running unbounded.
 //
-// cancelled() is two relaxed atomic loads on the hot path — cheap enough to
+// cancelled() is one atomic load per token in the chain — cheap enough to
 // poll per candidate evaluation.
 #pragma once
 
@@ -28,29 +28,27 @@ class CancellationToken {
   CancellationToken(const CancellationToken&) = delete;
   CancellationToken& operator=(const CancellationToken&) = delete;
 
-  // First cancel wins; later calls keep the original reason.
+  // First cancel wins; later calls keep the original reason. The reason is
+  // the flag (kOk = not cancelled), set by one compare-exchange, so a thread
+  // that sees cancelled() also sees the reason. kOk itself cancels as
+  // kCancelled.
   void cancel(StatusCode reason = StatusCode::kCancelled) {
-    bool expected = false;
-    if (flag_.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      reason_.store(static_cast<int>(reason), std::memory_order_release);
-    }
+    if (reason == StatusCode::kOk) reason = StatusCode::kCancelled;
+    int expected = static_cast<int>(StatusCode::kOk);
+    reason_.compare_exchange_strong(expected, static_cast<int>(reason),
+                                    std::memory_order_acq_rel);
   }
 
-  bool cancelled() const {
-    if (flag_.load(std::memory_order_relaxed)) return true;
-    return parent_ != nullptr && parent_->cancelled();
-  }
+  bool cancelled() const { return reason() != StatusCode::kOk; }
 
   // kOk while not cancelled; the winning reason (own, else parent's) after.
   StatusCode reason() const {
-    if (flag_.load(std::memory_order_acquire)) {
-      return static_cast<StatusCode>(reason_.load(std::memory_order_acquire));
-    }
-    return parent_ != nullptr ? parent_->reason() : StatusCode::kOk;
+    const auto own = static_cast<StatusCode>(reason_.load(std::memory_order_acquire));
+    if (own != StatusCode::kOk || parent_ == nullptr) return own;
+    return parent_->reason();
   }
 
  private:
-  std::atomic<bool> flag_{false};
   std::atomic<int> reason_{static_cast<int>(StatusCode::kOk)};
   const CancellationToken* parent_ = nullptr;
 };

@@ -6,6 +6,7 @@
 // on that host rather than silently reordering search winners.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -18,6 +19,7 @@
 #include "dsl/bytecode.hpp"
 #include "dsl/eval.hpp"
 #include "dsl/expr.hpp"
+#include "dsl/parse.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "synth/batch_eval.hpp"
@@ -241,19 +243,59 @@ cca::Signals random_signals(util::Rng& rng) {
   return ::testing::AssertionFailure() << "got " << got << " want " << want;
 }
 
+// Lane bindings laid out slot-major with fill_holes's clamp (an empty vector
+// binds 1.0, a short one repeats its last value), as synth::replay_batch
+// lays them out for run_batch.
+std::vector<double> slot_major(const Program& p, const std::vector<std::vector<double>>& lanes) {
+  std::vector<double> out(p.hole_slots * lanes.size());
+  for (std::size_t slot = 0; slot < p.hole_slots; ++slot) {
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      const auto& v = lanes[l];
+      out[slot * lanes.size() + l] = v.empty() ? 1.0 : v[std::min(slot, v.size() - 1)];
+    }
+  }
+  return out;
+}
+
+// run_batch over one lane per binding vector, lane L with window cwnd[L].
+std::vector<double> run_lanes(const Program& p, const cca::Signals& sig,
+                              const std::vector<double>& cwnd,
+                              const std::vector<std::vector<double>>& lanes) {
+  double out[kBatchLanes];
+  run_batch(p, sig, cwnd, slot_major(p, lanes), lanes.size(), out);
+  return {out, out + lanes.size()};
+}
+
+// The tree-walk reference for one lane: eval of the filled expression under
+// the lane's own window.
+double eval_lane(const ExprPtr& e, cca::Signals sig, double cwnd,
+                 const std::vector<double>& vals) {
+  sig.cwnd = cwnd;
+  return eval(*fill_holes(e, vals), sig);
+}
+
 TEST(Bytecode, MatchesTreeWalkOnRandomExprs) {
   util::Rng rng(101);
   for (int trial = 0; trial < 500; ++trial) {
     const auto e = random_num(rng, static_cast<int>(rng.uniform_int(1, 6)), /*holes=*/true);
-    std::vector<double> vals;
-    const int n_vals = static_cast<int>(rng.uniform_int(0, 4));
-    for (int i = 0; i < n_vals; ++i) vals.push_back(rng.uniform(-3.0, 3.0));
-    const auto filled = fill_holes(e, vals);
     const Program p = compile(*e);
+    // Every batch width from 1 to kBatchLanes, each lane with its own
+    // (possibly short or empty) bindings.
+    const std::size_t n_lanes = static_cast<std::size_t>(trial) % kBatchLanes + 1;
+    std::vector<std::vector<double>> vals(n_lanes);
+    for (auto& v : vals) {
+      const int n_vals = static_cast<int>(rng.uniform_int(0, 4));
+      for (int i = 0; i < n_vals; ++i) v.push_back(rng.uniform(-3.0, 3.0));
+    }
     for (int s = 0; s < 4; ++s) {
       const auto sigs = random_signals(rng);
-      EXPECT_TRUE(same_double(run(p, sigs, vals), eval(*filled, sigs)))
-          << "expr: " << to_string(*e) << " trial " << trial;
+      std::vector<double> cwnd(n_lanes, sigs.cwnd);
+      for (std::size_t l = 1; l < n_lanes; ++l) cwnd[l] = rng.uniform(1448.0, 1448.0 * 500);
+      const auto got = run_lanes(p, sigs, cwnd, vals);
+      for (std::size_t l = 0; l < n_lanes; ++l) {
+        EXPECT_TRUE(same_double(got[l], eval_lane(e, sigs, cwnd[l], vals[l])))
+            << "expr: " << to_string(*e) << " trial " << trial << " lane " << l;
+      }
     }
   }
 }
@@ -265,23 +307,20 @@ TEST(Bytecode, BatchLanesMatchSingleLaneRuns) {
     const Program p = compile(*e);
     const std::size_t n_lanes = static_cast<std::size_t>(rng.uniform_int(1, kBatchLanes));
     std::vector<double> lane_cwnd(n_lanes);
-    std::vector<double> holes_sm(p.hole_slots * n_lanes);  // slot-major
     std::vector<std::vector<double>> per_lane(n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
       lane_cwnd[l] = rng.uniform(0.0, 1448.0 * 300);
-      for (std::size_t s = 0; s < p.hole_slots; ++s) {
-        const double v = rng.uniform(-2.0, 2.0);
-        holes_sm[s * n_lanes + l] = v;
-        per_lane[l].push_back(v);
-      }
+      for (std::size_t s = 0; s < p.hole_slots; ++s) per_lane[l].push_back(rng.uniform(-2.0, 2.0));
     }
     const auto base = random_signals(rng);
-    double out[kBatchLanes];
-    run_batch(p, base, lane_cwnd, holes_sm, n_lanes, out);
+    const auto batched = run_lanes(p, base, lane_cwnd, per_lane);
     for (std::size_t l = 0; l < n_lanes; ++l) {
-      cca::Signals sigs = base;
-      sigs.cwnd = lane_cwnd[l];
-      EXPECT_TRUE(same_double(out[l], run(p, sigs, per_lane[l])))
+      // A lane's value does not depend on the lanes beside it: the same lane
+      // run alone gives the same double, and both are eval's.
+      const auto alone = run_lanes(p, base, {lane_cwnd[l]}, {per_lane[l]});
+      EXPECT_TRUE(same_double(batched[l], alone[0]))
+          << "expr: " << to_string(*e) << " lane " << l;
+      EXPECT_TRUE(same_double(batched[l], eval_lane(e, base, lane_cwnd[l], per_lane[l])))
           << "expr: " << to_string(*e) << " lane " << l;
     }
   }
@@ -296,8 +335,9 @@ TEST(Bytecode, StaticallyFalseGuardKeepsHoleSlots) {
   const Program p = compile(*e);
   EXPECT_EQ(p.hole_slots, 4u);
   const cca::Signals sigs;
-  EXPECT_EQ(run(p, sigs, vals), 5.0);  // guard is false -> else branch -> hole 3
-  EXPECT_EQ(run(p, sigs, vals), eval(*fill_holes(e, vals), sigs));
+  const auto got = run_lanes(p, sigs, {sigs.cwnd}, {vals});
+  EXPECT_EQ(got[0], 5.0);  // guard is false -> else branch -> hole 3
+  EXPECT_EQ(got[0], eval(*fill_holes(e, vals), sigs));
 }
 
 }  // namespace
@@ -517,6 +557,111 @@ TEST(BatchSearch, WinnerSurvivesCacheAndAbandonBound) {
   ASSERT_TRUE(best.valid());
   EXPECT_EQ(dsl::to_string(*best.handler), dsl::to_string(*want.best.handler));
   EXPECT_EQ(best.distance, want.best.distance);  // bitwise
+}
+
+
+// The tree-walk oracle for final validation: every distinct candidate (dsl::equal)
+// scored by an unbounded total_distance in candidate order, the first
+// minimum winning. `at_min` counts the distinct candidates that reach the
+// minimum, so a test can see that ties were exercised.
+struct ValidationOracle {
+  ScoredHandler winner;
+  std::size_t validated = 0;
+  std::size_t at_min = 0;
+};
+
+ValidationOracle tree_walk_validation(const std::vector<ScoredHandler>& candidates,
+                                      const std::vector<trace::Segment>& validation,
+                                      const SynthesisOptions& opts) {
+  ValidationOracle o;
+  std::vector<const dsl::Expr*> seen;
+  std::vector<double> dist;
+  for (const auto& c : candidates) {
+    if (std::any_of(seen.begin(), seen.end(),
+                    [&](const dsl::Expr* e) { return dsl::equal(*e, *c.handler); })) {
+      continue;
+    }
+    seen.push_back(c.handler.get());
+    dist.push_back(total_distance(*c.handler, validation, opts.metric, opts.dopts));
+    if (dist.back() < o.winner.distance) {
+      o.winner = c;
+      o.winner.distance = dist.back();
+    }
+  }
+  o.validated = seen.size();
+  o.at_min = static_cast<std::size_t>(std::count(dist.begin(), dist.end(), o.winner.distance));
+  return o;
+}
+
+// validate_candidates (compiled replay, abandon bound at the running winner)
+// against the oracle: same winner text, bit-identical distance, same count of
+// distinct handlers, with early abandoning on and off. Each round mixes random
+// hole-free handlers with exact ties (distinct trees that compute the same
+// doubles: commuted sums, power-of-two rescaling), repeats of the same tree,
+// and a hash_expr-colliding pair, in shuffled order.
+TEST(FinalValidation, MatchesTreeWalkOracle) {
+  util::Rng seg_rng(139);
+  std::vector<trace::Segment> validation;
+  for (int i = 0; i < 4; ++i) validation.push_back(make_segment(seg_rng, 40));
+  auto candidate = [](dsl::ExprPtr handler) {
+    ScoredHandler c;
+    c.sketch = handler;
+    c.handler = std::move(handler);
+    return c;
+  };
+  auto parsed = [](const char* text) {
+    auto r = dsl::parse(text);
+    EXPECT_TRUE(r) << text << ": " << r.error;
+    return r.expr;
+  };
+  const auto cwnd = dsl::sig(dsl::Signal::kCwnd);
+  const auto mss = dsl::sig(dsl::Signal::kMss);
+  const auto half = dsl::constant(0.5);
+  const auto two = dsl::constant(2.0);
+  const auto collide_a = parsed("(mss + reno-inc) + (cwnd * 0.5)");
+  const auto collide_b = parsed("(mss + cwnd) + (reno-inc * 0.5)");
+  ASSERT_EQ(dsl::hash_expr(*collide_a), dsl::hash_expr(*collide_b));
+  ASSERT_FALSE(dsl::equal(*collide_a, *collide_b));
+
+  util::Rng rng(149);
+  std::size_t tie_rounds = 0;
+  for (int round = 0; round < 12; ++round) {
+    std::vector<ScoredHandler> cands;
+    for (int i = 0; i < 5; ++i) {
+      const auto r = dsl::random_num(rng, 4, /*holes=*/false);
+      cands.push_back(candidate(r));
+      // Ties with r: x + 0 and 2 * (0.5 * x) are x, bit for bit, while
+      // finite and away from the subnormal range.
+      if (rng.chance(0.5)) cands.push_back(candidate(dsl::add(r, dsl::constant(0.0))));
+      if (rng.chance(0.5)) cands.push_back(candidate(dsl::mul(two, dsl::mul(half, r))));
+      // The same tree again, as a separate copy.
+      if (rng.chance(0.3)) cands.push_back(candidate(dsl::fill_holes(r, {})));
+    }
+    // A close fit to the fuzz segments' mean growth, three ways.
+    cands.push_back(candidate(dsl::add(cwnd, dsl::mul(mss, half))));
+    cands.push_back(candidate(dsl::add(dsl::mul(mss, half), cwnd)));
+    cands.push_back(candidate(dsl::add(cwnd, dsl::mul(two, dsl::mul(dsl::constant(0.25), mss)))));
+    cands.push_back(candidate(collide_a));
+    cands.push_back(candidate(collide_b));
+    cands.push_back(candidate(parsed("(mss + reno-inc) + (cwnd * 0.5)")));
+    rng.shuffle(cands);
+
+    for (const bool abandon : {false, true}) {
+      SCOPED_TRACE("round " + std::to_string(round) + " abandon=" + std::to_string(abandon));
+      SynthesisOptions opts;
+      opts.early_abandon = abandon;
+      const ValidationOracle want = tree_walk_validation(cands, validation, opts);
+      ASSERT_TRUE(want.winner.valid());
+      std::size_t validated = 0;
+      const auto got = validate_candidates(cands, validation, opts, &validated);
+      ASSERT_TRUE(got.valid());
+      EXPECT_EQ(dsl::to_string(*got.handler), dsl::to_string(*want.winner.handler));
+      EXPECT_TRUE(dsl::same_double(got.distance, want.winner.distance));
+      EXPECT_EQ(validated, want.validated);
+      if (!abandon && want.at_min > 1) ++tie_rounds;
+    }
+  }
+  EXPECT_GT(tie_rounds, 0u) << "no round had a tie at the minimum";
 }
 
 }  // namespace

@@ -328,31 +328,6 @@ TEST(SchedulerJournal, SplitByJobDemultiplexesABatchJournal) {
   EXPECT_EQ(total, 5u);
 }
 
-// --- Sampling ---------------------------------------------------------------
-
-TEST(SchedulerJournal, SampleEveryThinsCandidatesDeterministically) {
-  obs::JournalOptions opts;
-  opts.sample_every = 4;
-  JournalSession session("journal_sampled.journal", opts);
-  ASSERT_TRUE(session.started());
-
-  constexpr std::uint64_t kCandidates = 100;
-  std::uint64_t expected = 0;
-  {
-    obs::JournalScope scope(obs::journal_intern("sampled"), 0, 0);
-    for (std::uint64_t fp = 1; fp <= kCandidates; ++fp) {
-      obs::journal_begin_candidate(9, fp);
-      if (fp % opts.sample_every == 0) ++expected;
-      EXPECT_EQ(obs::journal_candidate_sampled(), fp % opts.sample_every == 0);
-      obs::journal_record_candidate(JournalKind::kEnumerated, 0.0, 0);
-      obs::journal_end_candidate();
-    }
-  }
-  const auto stats = session.stop();
-  EXPECT_GT(expected, 0u);
-  EXPECT_EQ(stats.recorded, expected);  // sampling is by fingerprint, not luck
-}
-
 // --- Golden funnel reconciliation (Z3; excluded from the TSan filter) -------
 
 std::vector<trace::Segment> reno_segments() {
@@ -403,7 +378,7 @@ TEST(JournalFunnel, TotalsReconcileExactlyWithSynthesisResult) {
   auto kind = [&stats](JournalKind k) { return stats.by_kind[static_cast<std::size_t>(k)]; };
 
   // The identities abg_inspect's `funnel --check` enforces in CI. Exact by
-  // design at sample_every = 1: every scored handler journals exactly one
+  // design: every scored handler journals exactly one
   // kEnumerated plus exactly one terminal event, and every enumerator sketch
   // journals one kSketch.
   EXPECT_EQ(kind(JournalKind::kEnumerated), result.total_handlers_scored);

@@ -8,10 +8,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "util/cancellation.hpp"
 #include "util/csv.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
@@ -448,6 +451,55 @@ TEST(Retry, RecoversWhenALaterAttemptSucceeds) {
   });
   EXPECT_TRUE(st.is_ok());
   EXPECT_EQ(calls, 3);
+}
+
+// A reader that sees a token cancelled must see why, on the token that was
+// cancelled and through a token linked to it: the run that reads
+// cancelled() then reason() reports that reason as its status, and kOk there
+// would pass a cut-short search off as a complete one. Two cancellers race
+// each round's compare-exchange while two readers spin on the round's
+// tokens.
+TEST(CancellationToken, ReasonIsSetWhenCancelledIsSeen) {
+  constexpr int kRounds = 2000;
+  std::vector<std::unique_ptr<CancellationToken>> own(kRounds);
+  std::vector<std::unique_ptr<CancellationToken>> parent(kRounds);
+  std::vector<std::unique_ptr<CancellationToken>> linked(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    own[r] = std::make_unique<CancellationToken>();
+    parent[r] = std::make_unique<CancellationToken>();
+    linked[r] = std::make_unique<CancellationToken>(parent[r].get());
+  }
+  std::atomic<int> own_bad{0};
+  std::atomic<int> linked_bad{0};
+  auto read = [](const std::vector<std::unique_ptr<CancellationToken>>& tokens,
+                 std::atomic<int>* bad) {
+    for (int r = 0; r < kRounds; ++r) {
+      while (!tokens[r]->cancelled()) {
+      }
+      if (tokens[r]->reason() != StatusCode::kTimeout) bad->fetch_add(1);
+    }
+  };
+  auto cancel = [&] {
+    for (int r = 0; r < kRounds; ++r) {
+      own[r]->cancel(StatusCode::kTimeout);
+      parent[r]->cancel(StatusCode::kTimeout);
+    }
+  };
+  std::thread own_reader(read, std::cref(own), &own_bad);
+  std::thread linked_reader(read, std::cref(linked), &linked_bad);
+  std::thread c1(cancel);
+  std::thread c2(cancel);
+  for (auto* t : {&own_reader, &linked_reader, &c1, &c2}) t->join();
+  EXPECT_EQ(own_bad.load(), 0);
+  EXPECT_EQ(linked_bad.load(), 0);
+  // First cancel wins, and kOk cannot un-cancel or mask a token.
+  own[0]->cancel(StatusCode::kCancelled);
+  own[0]->cancel(StatusCode::kOk);
+  EXPECT_EQ(own[0]->reason(), StatusCode::kTimeout);
+  CancellationToken fresh;
+  fresh.cancel(StatusCode::kOk);
+  EXPECT_TRUE(fresh.cancelled());
+  EXPECT_EQ(fresh.reason(), StatusCode::kCancelled);
 }
 
 }  // namespace

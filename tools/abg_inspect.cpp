@@ -242,9 +242,8 @@ int cmd_funnel(int argc, char** argv) {
   if (check_path.empty()) return 0;
 
   // Reconcile against the metrics registry. These identities hold exactly
-  // when the journal covered the whole process run at sample_every=1 (the
-  // default) and no events were dropped; anything else is an instrumentation
-  // regression and fails CI.
+  // when the journal covered the whole process run and no events were
+  // dropped; anything else is an instrumentation regression and fails CI.
   std::map<std::string, double> counters;
   if (!load_counters(check_path, &counters)) {
     return abg::util::exit_code(abg::util::StatusCode::kParseError);
@@ -292,7 +291,7 @@ int cmd_why(int argc, char** argv) {
     if (r.candidate == fp) events.push_back(&r);
   }
   if (events.empty()) {
-    std::printf("no events for candidate %#" PRIx64 " (sampled out, or wrong journal?)\n", fp);
+    std::printf("no events for candidate %#" PRIx64 " (dropped, or wrong journal?)\n", fp);
     return 1;
   }
   std::stable_sort(events.begin(), events.end(),
