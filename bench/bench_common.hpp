@@ -50,12 +50,10 @@ inline std::vector<trace::Trace> collect(const std::string& cca, std::uint64_t s
   return net::collect_traces(cca, envs);
 }
 
-// Steady-state segment pool for a CCA's traces.
+// Steady-state segment pool for a CCA's traces, built as every pipeline
+// entry point builds it (default PipelineOptions).
 inline std::vector<trace::Segment> segments_for(const std::vector<trace::Trace>& traces) {
-  std::vector<trace::Trace> steady;
-  steady.reserve(traces.size());
-  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, 2.0));
-  return trace::segment_all(steady, 20);
+  return core::build_segment_pool(traces, core::PipelineOptions{});
 }
 
 // The longest-duration segment of each trace: the segments where steady-
@@ -63,7 +61,7 @@ inline std::vector<trace::Segment> segments_for(const std::vector<trace::Trace>&
 inline std::vector<trace::Segment> longest_segments(const std::vector<trace::Trace>& traces) {
   std::vector<trace::Segment> out;
   for (const auto& t : traces) {
-    auto segs = trace::segment_all({trace::trim_warmup(t, 2.0)}, 20);
+    auto segs = segments_for({t});
     std::size_t best = 0;
     double best_dur = -1.0;
     for (std::size_t i = 0; i < segs.size(); ++i) {

@@ -59,32 +59,23 @@ void BM_DtwKernel(benchmark::State& state) {
   }
   auto a = noisy_saw(n, 1), b = noisy_saw(n, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(distance::dtw(a, b, 0.0, distance::kNoAbandon, simd));
+    benchmark::DoNotOptimize(distance::dtw(a, b, distance::kNoAbandon, simd));
   }
   state.SetLabel(distance::simd_name(simd));
 }
 BENCHMARK(BM_DtwKernel)->ArgsProduct({{256, 1024}, {0, 2}});
 
-void BM_DtwBanded(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto a = noisy_saw(n, 1), b = noisy_saw(n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(distance::dtw(a, b, 0.1));
-  }
-}
-BENCHMARK(BM_DtwBanded)->Range(64, 1024);
-
 // Early-abandoning DTW against a hopeless pair (the refinement loop's common
 // case: a candidate far worse than the bucket best). The bound is 10% of the
-// true distance, so the per-row check fires within a few rows; compare with
-// BM_Dtw at the same size for the pruned-work ratio.
+// true distance, so the LB_Keogh envelope bound prunes the pair before any DP
+// row runs; compare with BM_Dtw at the same size for the pruned-work ratio.
 void BM_DtwEarlyAbandon(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto a = noisy_saw(n, 1), b = noisy_saw(n, 2);
   for (auto& x : b) x += 150.0;
   const double exact = distance::dtw(a, b);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(distance::dtw(a, b, 0.0, exact * 0.1));
+    benchmark::DoNotOptimize(distance::dtw(a, b, exact * 0.1));
   }
 }
 BENCHMARK(BM_DtwEarlyAbandon)->Range(64, 1024);

@@ -309,9 +309,7 @@ int cmd_match(int argc, char** argv) {
   }
   auto traces = load_all(argc, argv, 3);
   if (traces.empty()) return no_traces_rc();
-  std::vector<trace::Trace> steady;
-  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, 2.0));
-  auto segs = trace::segment_all(steady, 20);
+  const auto segs = core::build_segment_pool(traces, core::PipelineOptions{});
   const double d =
       synth::total_distance(*known.fine_tuned, segs, distance::Metric::kDtw);
   std::printf("handler: %s\nDTW distance over %zu segments: %.3f\n",

@@ -26,7 +26,7 @@ struct DtwCounters {
 DtwCounters& dtw_counters() {
   static DtwCounters* c = [] {
     obs::describe("distance.dtw_evals", "DTW evaluations started (prunes included)");
-    obs::describe("distance.dtw_cells", "band-aware DP cells actually visited");
+    obs::describe("distance.dtw_cells", "DTW DP cells visited (rows completed x columns)");
     obs::describe("distance.lb_prunes", "DTW evals pruned by the LB_Kim endpoint bound");
     obs::describe("distance.lb_keogh_prunes", "DTW evals pruned by the LB_Keogh envelope bound");
     obs::describe("distance.early_abandons", "DTW evals abandoned before the DP completed");
@@ -53,54 +53,15 @@ KernelCounters& kernel_counters(Simd k) {
   return k == Simd::kAvx2 ? avx2 : scalar;
 }
 
-// Band columns for every row (1-based; [0] unused), shared by LB_Keogh and
-// the DP kernels so a single definition of the band exists per call.
-void fill_band(std::size_t n, std::size_t m, double band_frac, std::vector<std::size_t>* j_lo,
-               std::vector<std::size_t>* j_hi) {
-  const std::size_t band =
-      band_frac > 0 ? std::max<std::size_t>(
-                          1, static_cast<std::size_t>(band_frac * static_cast<double>(m)))
-                    : m + n;
-  j_lo->resize(n + 1);
-  j_hi->resize(n + 1);
-  for (std::size_t i = 1; i <= n; ++i) {
-    // Band around the diagonal j ~ i * m / n.
-    const auto center = static_cast<std::size_t>(static_cast<double>(i) *
-                                                 static_cast<double>(m) / static_cast<double>(n));
-    (*j_lo)[i] = center > band ? center - band : 1;
-    (*j_hi)[i] = std::min(m, center + band);
-  }
-}
-
-// Raw-units LB_Keogh: every warping path visits each row i at some in-band
-// column j, paying at least a_i's distance to the [min, max] envelope of b
-// over that window. Window edges are non-decreasing in i, so two monotonic
-// deques give O(n + m) total. The partial sum is already a lower bound, so
-// the scan exits as soon as it meets the cutoff.
-double lb_keogh_raw(std::span<const double> a, std::span<const double> b,
-                    std::span<const std::size_t> j_lo, std::span<const std::size_t> j_hi,
-                    double raw_cutoff) {
-  const std::size_t n = a.size();
-  std::vector<std::size_t> qmin, qmax;  // deques of b indices; front = extreme
-  qmin.reserve(b.size());
-  qmax.reserve(b.size());
-  std::size_t hmin = 0, hmax = 0;  // head offsets
-  std::size_t pushed = 0;          // b[0, pushed) admitted to the deques
+// Raw-units LB_Keogh over b's global envelope: every warping path visits
+// each row i at some column, paying at least a_i's distance to [min b, max b].
+// The partial sum is already a lower bound, so the scan exits as soon as it
+// meets the cutoff.
+double lb_keogh_raw(std::span<const double> a, std::span<const double> b, double raw_cutoff) {
+  const auto [lo_it, hi_it] = std::minmax_element(b.begin(), b.end());
+  const double lower = *lo_it, upper = *hi_it;
   double lb = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    for (; pushed < j_hi[i]; ++pushed) {
-      const double v = b[pushed];
-      while (qmax.size() > hmax && b[qmax.back()] <= v) qmax.pop_back();
-      qmax.push_back(pushed);
-      while (qmin.size() > hmin && b[qmin.back()] >= v) qmin.pop_back();
-      qmin.push_back(pushed);
-    }
-    const std::size_t wlo = j_lo[i] - 1;
-    while (qmax[hmax] < wlo) ++hmax;
-    while (qmin[hmin] < wlo) ++hmin;
-    const double upper = b[qmax[hmax]];
-    const double lower = b[qmin[hmin]];
-    const double v = a[i - 1];
+  for (const double v : a) {
     if (v > upper) {
       lb += v - upper;
     } else if (v < lower) {
@@ -147,8 +108,8 @@ std::vector<double> resample(std::span<const double> in, std::size_t n) {
   return out;
 }
 
-double dtw(std::span<const double> a, std::span<const double> b, double band_frac,
-           double abandon_above, Simd simd) {
+double dtw(std::span<const double> a, std::span<const double> b, double abandon_above,
+           Simd simd) {
   const std::size_t n = a.size(), m = b.size();
   if (n == 0 || m == 0) return n == m ? 0.0 : std::numeric_limits<double>::infinity();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -161,52 +122,32 @@ double dtw(std::span<const double> a, std::span<const double> b, double band_fra
   // The bound arrives in normalized units; the DP works in raw path-cost
   // units, so compare against the denormalized cutoff.
   const double raw_cutoff = abandon_above / norm;
-  if (raw_cutoff <= 0.0) {
-    // Nothing can beat a non-positive bound: costs are non-negative.
+  // Every pre-DP prune counts as a started eval that was abandoned, under
+  // its own stage counter, and journals the bound that fired (normalized).
+  auto prune = [&](obs::Counter& stage, obs::JournalKind kind, double bound) {
     c.evals.add();
-    c.lb_prunes.add();
+    stage.add();
     c.early_abandons.add();
-    if (obs::journal_enabled()) {
-      obs::journal_record_distance(obs::JournalKind::kLbPrune, abandon_above, 0, kern_byte);
-    }
+    if (obs::journal_enabled()) obs::journal_record_distance(kind, bound, 0, kern_byte);
     return kInf;
-  }
+  };
+  // Nothing can beat a non-positive bound: costs are non-negative.
+  if (raw_cutoff <= 0.0) return prune(c.lb_prunes, obs::JournalKind::kLbPrune, abandon_above);
   if (std::isfinite(raw_cutoff)) {
     // LB_Kim-style endpoint bound: every warping path includes both corner
     // cells (they coincide when n == m == 1).
-    const double lb = std::fabs(a[0] - b[0]) +
-                      (n + m > 2 ? std::fabs(a[n - 1] - b[m - 1]) : 0.0);
-    if (lb >= raw_cutoff) {
-      c.evals.add();
-      c.lb_prunes.add();
-      c.early_abandons.add();
-      if (obs::journal_enabled()) {
-        obs::journal_record_distance(obs::JournalKind::kLbPrune, lb * norm, 0, kern_byte);
-      }
-      return kInf;
-    }
-  }
-  // One band definition per call, shared by LB_Keogh and the DP kernel.
-  std::vector<std::size_t> j_lo, j_hi;
-  fill_band(n, m, band_frac, &j_lo, &j_hi);
-  if (std::isfinite(raw_cutoff)) {
+    const double kim = std::fabs(a[0] - b[0]) +
+                       (n + m > 2 ? std::fabs(a[n - 1] - b[m - 1]) : 0.0);
+    if (kim >= raw_cutoff) return prune(c.lb_prunes, obs::JournalKind::kLbPrune, kim * norm);
     // LB_Keogh envelope cascade: O(n+m), runs only when LB_Kim let the pair
     // through and a finite bound exists to beat.
-    const double lb = lb_keogh_raw(a, b, j_lo, j_hi, raw_cutoff);
-    if (lb >= raw_cutoff) {
-      c.evals.add();
-      c.lb_keogh_prunes.add();
-      c.early_abandons.add();
-      if (obs::journal_enabled()) {
-        obs::journal_record_distance(obs::JournalKind::kLbKeoghPrune, lb * norm, 0, kern_byte);
-      }
-      return kInf;
+    const double keogh = lb_keogh_raw(a, b, raw_cutoff);
+    if (keogh >= raw_cutoff) {
+      return prune(c.lb_keogh_prunes, obs::JournalKind::kLbKeoghPrune, keogh * norm);
     }
   }
-  const detail::BandSpec band{j_lo, j_hi};
-  const detail::DtwRun run = kern == Simd::kAvx2
-                                 ? detail::dtw_dp_avx2(a, b, band, raw_cutoff)
-                                 : detail::dtw_dp_scalar(a, b, band, raw_cutoff);
+  const detail::DtwRun run = kern == Simd::kAvx2 ? detail::dtw_dp_avx2(a, b, raw_cutoff)
+                                                 : detail::dtw_dp_scalar(a, b, raw_cutoff);
   // One relaxed add per eval, not per cell: counting stays off the DP loop.
   c.evals.add();
   c.cells.add(run.cells);
@@ -231,13 +172,11 @@ double dtw(std::span<const double> a, std::span<const double> b, double band_fra
   return nd;
 }
 
-double lb_keogh(std::span<const double> a, std::span<const double> b, double band_frac) {
+double lb_keogh(std::span<const double> a, std::span<const double> b) {
   const std::size_t n = a.size(), m = b.size();
   if (n == 0 || m == 0) return 0.0;
-  std::vector<std::size_t> j_lo, j_hi;
-  fill_band(n, m, band_frac, &j_lo, &j_hi);
   const double norm = 2.0 / static_cast<double>(n + m);
-  return lb_keogh_raw(a, b, j_lo, j_hi, std::numeric_limits<double>::infinity()) * norm;
+  return lb_keogh_raw(a, b, std::numeric_limits<double>::infinity()) * norm;
 }
 
 namespace {
@@ -335,7 +274,7 @@ double compute(Metric m, std::span<const double> a, std::span<const double> b,
     ub = sb;
   }
   switch (m) {
-    case Metric::kDtw: return dtw(ua, ub, opts.dtw_band_frac, abandon_above, opts.simd);
+    case Metric::kDtw: return dtw(ua, ub, abandon_above, opts.simd);
     case Metric::kEuclidean: return euclidean(ua, ub);
     case Metric::kManhattan: return manhattan(ua, ub);
     case Metric::kFrechet: return frechet(ua, ub);

@@ -31,9 +31,6 @@ struct DistanceOptions {
   // Series longer than this are linearly resampled down before the O(n*m)
   // DP metrics run (fixed work per trace, as §3.2 requires).
   std::size_t max_points = 256;
-  // Sakoe-Chiba band half-width for DTW as a fraction of the series length;
-  // <= 0 means unconstrained.
-  double dtw_band_frac = 0.0;
   // DTW kernel selection (kAuto: ABG_SIMD env, then CPU detection). Purely a
   // speed knob — every kernel is bit-identical (see simd.hpp).
   Simd simd = Simd::kAuto;
@@ -45,8 +42,8 @@ inline constexpr double kNoAbandon = std::numeric_limits<double>::infinity();
 // Linear-interpolation resample of `in` to exactly n >= 2 points.
 std::vector<double> resample(std::span<const double> in, std::size_t n);
 
-// Dynamic Time Warping distance with per-step cost |a_i - b_j|.
-// band_frac <= 0 disables the Sakoe-Chiba band.
+// Dynamic Time Warping distance with per-step cost |a_i - b_j|, over the
+// full n x m matrix (no warping-window constraint).
 //
 // `abandon_above` is a UCR-suite-style early-abandon bound: once it is
 // certain the (normalized) distance will be >= abandon_above, the DP stops
@@ -55,8 +52,8 @@ std::vector<double> resample(std::span<const double> in, std::size_t n);
 //   * an O(1) LB_Kim-style lower bound over the endpoint cells (every
 //     warping path must include (0,0) and (n-1,m-1)), checked before any
 //     DP row is allocated ("distance.lb_prunes"),
-//   * an O(n+m) LB_Keogh envelope bound — each row's cheapest in-band step
-//     cost, summed ("distance.lb_keogh_prunes"),
+//   * an O(n+m) LB_Keogh envelope bound — each a-row's distance to b's
+//     [min, max] range, summed ("distance.lb_keogh_prunes"),
 //   * an in-DP check — every cumulative cell value lower-bounds the final
 //     path cost, so when the minimum of a finished row already meets the
 //     bound, no extension can come back under it ("distance.early_abandons").
@@ -67,17 +64,18 @@ std::vector<double> resample(std::span<const double> in, std::size_t n);
 // kernel-independent bit for bit, so callers may treat it as a pure speed
 // knob. The resolved kernel is stamped on journal detail events and the
 // per-kernel labeled distance.* counters.
-double dtw(std::span<const double> a, std::span<const double> b, double band_frac = 0.0,
+double dtw(std::span<const double> a, std::span<const double> b,
            double abandon_above = kNoAbandon, Simd simd = Simd::kAuto);
 
-// Normalized LB_Keogh envelope lower bound on dtw(a, b, band_frac): for each
-// a-row, the distance from a's value to the [min, max] envelope of b over
-// that row's band window. Admissible in exact arithmetic AND under IEEE-754
-// rounding (each row term is a single monotone subtraction below the row's
-// true step cost, and both sides accumulate in the same row order), so
+// Normalized LB_Keogh envelope lower bound on dtw(a, b): for each a-row, the
+// distance from a's value to the global [min, max] envelope of b (the full
+// matrix lets every row reach every column). Admissible in exact arithmetic
+// AND under IEEE-754 rounding (each row term is a single monotone
+// subtraction below the row's true step cost, and both sides accumulate in
+// the same row order), so
 // lb_keogh() <= dtw() holds bitwise — the property the admissibility test
 // asserts and the prune cascade relies on.
-double lb_keogh(std::span<const double> a, std::span<const double> b, double band_frac = 0.0);
+double lb_keogh(std::span<const double> a, std::span<const double> b);
 
 // L2 distance between series resampled to a common length, normalized by
 // sqrt(length) so it is series-length independent.

@@ -1,6 +1,6 @@
 // Internal interface between dtw() and its interchangeable DP kernels.
-// Each kernel runs the same banded dynamic program in RAW path-cost units
-// (the wrapper owns normalization, lower-bound cascades, counters, and
+// Each kernel runs the same full-matrix dynamic program in RAW path-cost
+// units (the wrapper owns normalization, lower-bound cascades, counters, and
 // journal emission) and must be bit-identical to dtw_dp_scalar: the per-cell
 // recurrence is |a_i - b_j| + min(west, north, northwest) — an fabs, a
 // 3-way min, and one add, all order-independent IEEE-754 operations — so a
@@ -19,29 +19,17 @@
 
 namespace abg::distance::detail {
 
-// One banded DTW dynamic program, raw (unnormalized) units.
+// One DTW dynamic program, raw (unnormalized) units.
 struct DtwRun {
   double raw = 0.0;            // D[n][m]; +inf when unreachable
   double abandon_bound = 0.0;  // the row/strip minimum that met the cutoff
-  std::uint64_t cells = 0;     // band cells charged (completed rows/strips)
+  std::uint64_t cells = 0;     // cells charged: completed rows (or strips) x m
   bool abandoned = false;      // cutoff fired; raw is +inf
 };
 
-// Band columns per row, 1-based (index 0 unused), as dtw() computes them:
-// j_lo[i] = max(1, center - band), j_hi[i] = min(m, center + band) with
-// center = floor(i * m / n). Both are non-decreasing in i — the wavefront
-// kernel relies on that to track each diagonal's valid row range with two
-// monotone cursors.
-struct BandSpec {
-  std::span<const std::size_t> j_lo;
-  std::span<const std::size_t> j_hi;
-};
-
-DtwRun dtw_dp_scalar(std::span<const double> a, std::span<const double> b,
-                     const BandSpec& band, double raw_cutoff);
+DtwRun dtw_dp_scalar(std::span<const double> a, std::span<const double> b, double raw_cutoff);
 // x86-64 wavefront kernel; on other targets it forwards to the scalar DP
 // (resolve_simd never selects it there, but the symbol stays linkable).
-DtwRun dtw_dp_avx2(std::span<const double> a, std::span<const double> b,
-                   const BandSpec& band, double raw_cutoff);
+DtwRun dtw_dp_avx2(std::span<const double> a, std::span<const double> b, double raw_cutoff);
 
 }  // namespace abg::distance::detail

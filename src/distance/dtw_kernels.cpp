@@ -1,6 +1,6 @@
 // The two interchangeable DTW DP kernels (see dtw_kernel.hpp for the
 // bit-exactness argument). The AVX2 wavefront kernel sweeps anti-diagonals
-// of the band in cache-blocked row strips: within one strip of kStripRows rows,
+// of the matrix in cache-blocked row strips: within one strip of kStripRows rows,
 // cells on a diagonal depend only on the two previous diagonals, so a whole
 // vector of rows is computed per instruction with no intra-diagonal
 // dependency. The strip's entry row lives in a carry buffer; its exit row is
@@ -37,24 +37,21 @@ constexpr std::size_t kStripRows = 128;
 
 }  // namespace
 
-DtwRun dtw_dp_scalar(std::span<const double> a, std::span<const double> b,
-                     const BandSpec& band, double raw_cutoff) {
+DtwRun dtw_dp_scalar(std::span<const double> a, std::span<const double> b, double raw_cutoff) {
   const std::size_t n = a.size(), m = b.size();
   std::vector<double> prev(m + 1, kInf), cur(m + 1, kInf);
   prev[0] = 0.0;
   DtwRun run;
   for (std::size_t i = 1; i <= n; ++i) {
     std::fill(cur.begin(), cur.end(), kInf);
-    const std::size_t j_lo = band.j_lo[i];
-    const std::size_t j_hi = band.j_hi[i];
     double row_min = kInf;
-    for (std::size_t j = j_lo; j <= j_hi; ++j) {
+    for (std::size_t j = 1; j <= m; ++j) {
       const double cost = std::fabs(a[i - 1] - b[j - 1]);
       const double best = std::min({prev[j], cur[j - 1], prev[j - 1]});
       if (best < kInf) cur[j] = cost + best;
       row_min = std::min(row_min, cur[j]);
     }
-    if (j_hi >= j_lo) run.cells += j_hi - j_lo + 1;
+    run.cells += m;
     // Cumulative cell values only grow down/right (non-negative step costs),
     // so once a whole row meets the cutoff the final cost must too.
     if (std::isfinite(raw_cutoff) && row_min >= raw_cutoff) {
@@ -73,7 +70,7 @@ DtwRun dtw_dp_scalar(std::span<const double> a, std::span<const double> b,
 
 __attribute__((target("avx2"))) DtwRun dtw_dp_avx2(std::span<const double> a,
                                                    std::span<const double> b,
-                                                   const BandSpec& band, double raw_cutoff) {
+                                                   double raw_cutoff) {
   constexpr std::size_t W = 4;  // doubles per YMM
   const std::size_t n = a.size(), m = b.size();
   DtwRun run;
@@ -107,12 +104,7 @@ __attribute__((target("avx2"))) DtwRun dtw_dp_avx2(std::span<const double> a,
     double* prev = bufs.data() + stride;
     double* cur = bufs.data() + 2 * stride;
 
-    const std::size_t dmin = (i0 + 1) + band.j_lo[i0 + 1];
-    const std::size_t dmax = i1 + band.j_hi[i1];
-    std::size_t lo_row = i0 + 1;  // min row with i + j_hi[i] >= d
-    std::size_t hi_row = i0;      // max row with i + j_lo[i] <= d
-
-    for (std::size_t d = dmin; d <= dmax; ++d) {
+    for (std::size_t d = i0 + 2; d <= i1 + m; ++d) {
       double* t = prev2;
       prev2 = prev;
       prev = cur;
@@ -120,17 +112,10 @@ __attribute__((target("avx2"))) DtwRun dtw_dp_avx2(std::span<const double> a,
       prev[0] = (d - 1 - i0 <= m) ? carry[d - 1 - i0] : kInf;
       prev2[0] = (d - 2 - i0 <= m) ? carry[d - 2 - i0] : kInf;
 
-      // Both band edges are non-decreasing in the row index, so each
-      // cursor advances monotonically (by at most one row per diagonal).
-      while (hi_row < i1 && (hi_row + 1) + band.j_lo[hi_row + 1] <= d) ++hi_row;
-      while (lo_row < i1 && lo_row + band.j_hi[lo_row] < d) ++lo_row;
-      if (lo_row > hi_row || hi_row == i0 || lo_row + band.j_hi[lo_row] < d) {
-        // Disconnected band: no cell of this strip sits on this diagonal.
-        // Clear the whole buffer so no stale slot leaks downstream.
-        std::fill(cur, cur + stride, kInf);
-        continue;
-      }
-
+      // The strip's rows on this diagonal: i in (i0, i1] with j = d - i in
+      // [1, m]. Never empty for d in [i0 + 2, i1 + m].
+      const std::size_t lo_row = std::max(i0 + 1, d > m ? d - m : 0);
+      const std::size_t hi_row = std::min(i1, d - 1);
       const __m256d vhi = _mm256_set1_pd(static_cast<double>(hi_row));
       for (std::size_t i = lo_row; i <= hi_row; i += W) {
         const std::size_t r = i - i0;
@@ -155,9 +140,7 @@ __attribute__((target("avx2"))) DtwRun dtw_dp_avx2(std::span<const double> a,
       if (hi_row == i1) next_carry[d - i1] = cur[i1 - i0];
     }
 
-    for (std::size_t i = i0 + 1; i <= i1; ++i) {
-      if (band.j_hi[i] >= band.j_lo[i]) run.cells += band.j_hi[i] - band.j_lo[i] + 1;
-    }
+    run.cells += (i1 - i0) * m;
     // A completed carry row is a cut every warping path crosses: its minimum
     // meeting the cutoff proves the final cost does too (see dtw_kernel.hpp).
     if (std::isfinite(raw_cutoff)) {
@@ -178,9 +161,8 @@ __attribute__((target("avx2"))) DtwRun dtw_dp_avx2(std::span<const double> a,
 
 #else  // !__x86_64__
 
-DtwRun dtw_dp_avx2(std::span<const double> a, std::span<const double> b,
-                   const BandSpec& band, double raw_cutoff) {
-  return dtw_dp_scalar(a, b, band, raw_cutoff);
+DtwRun dtw_dp_avx2(std::span<const double> a, std::span<const double> b, double raw_cutoff) {
+  return dtw_dp_scalar(a, b, raw_cutoff);
 }
 
 #endif

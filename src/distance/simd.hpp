@@ -1,5 +1,5 @@
-// Runtime DTW-kernel dispatch (ISSUE 7). Two kernels compute the banded
-// DTW dynamic program — a scalar reference (the oracle) and an AVX2 4-lane
+// Runtime DTW-kernel dispatch. Two kernels compute the full-matrix DTW
+// dynamic program — a scalar reference (the oracle) and an AVX2 4-lane
 // cache-blocked anti-diagonal wavefront — and both are bit-identical on
 // every input (asserted by the kernel-equivalence suite), so dispatch is
 // purely a speed decision and never a correctness one.

@@ -48,7 +48,7 @@ enum class JournalKind : std::uint8_t {
   kSelected,       // bucket best of an iteration; kJournalFinal = run winner
   kLbPrune,        // one DTW eval pruned by the LB_Kim endpoint bound
   kRowAbandon,     // one DTW eval abandoned mid-DP (row minimum >= cutoff)
-  kDtwEval,        // one completed DTW eval (cells = band-aware DP cells)
+  kDtwEval,        // one completed DTW eval (cells = DP cells, n x m)
   kLbKeoghPrune,   // one DTW eval pruned by the LB_Keogh envelope bound
 };
 inline constexpr std::size_t kJournalKindCount = 10;

@@ -181,14 +181,4 @@ std::string prometheus_text(const Snapshot& s) {
 
 std::string prometheus_text() { return prometheus_text(snapshot()); }
 
-bool write_prometheus_text(const std::string& path) {
-  const std::string body = prometheus_text();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (n != body.size()) std::fclose(f);
-  return ok;
-}
-
 }  // namespace abg::obs

@@ -1,6 +1,6 @@
 // Prometheus text exposition (version 0.0.4) of the metrics registry, served
-// by the embedded status listener at /metrics and writable to disk for CI
-// artifacts. Dependency-free: renders straight from obs::snapshot().
+// by the embedded status listener at /metrics. Dependency-free: renders
+// straight from obs::snapshot().
 //
 // Mapping: metric names are mangled to the Prometheus charset (`.` -> `_`)
 // and prefixed `abg_`; counters keep their name, a Gauge exports two series
@@ -18,8 +18,5 @@ struct Snapshot;
 // Render a snapshot (or the live registry) as Prometheus text exposition.
 std::string prometheus_text(const Snapshot& s);
 std::string prometheus_text();
-
-// Write prometheus_text() to `path`. False on I/O failure.
-bool write_prometheus_text(const std::string& path);
 
 }  // namespace abg::obs

@@ -97,12 +97,6 @@ std::uint32_t register_lane(const std::string& name) {
   return pid;
 }
 
-void trace_complete_event(std::string name, const char* cat, double ts_us, double dur_us,
-                          std::string args_json) {
-  trace_complete_event_on(current_context().lane, std::move(name), cat, ts_us, dur_us,
-                          std::move(args_json));
-}
-
 void trace_complete_event_on(std::uint32_t lane, std::string name, const char* cat,
                              double ts_us, double dur_us, std::string args_json) {
   append(Event{std::move(name), std::move(args_json), cat, "X", ts_us, dur_us,

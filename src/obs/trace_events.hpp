@@ -28,15 +28,11 @@ bool tracing_enabled();
 // Microseconds since the recorder's epoch (process start), the `ts` clock.
 double trace_now_us();
 
-// Append one complete event on the calling thread's current lane. `cat`
+// Append one complete event on an explicit lane (0 = process lane). `cat`
 // groups events in the viewer ("synth", "pool", ...). args_json, when
 // non-empty, must be a serialized JSON object and is embedded verbatim as
-// the event's "args".
-void trace_complete_event(std::string name, const char* cat, double ts_us, double dur_us,
-                          std::string args_json = {});
-
-// Append one complete event on an explicit lane (0 = process lane). This is
-// what Span uses; prefer Span unless you are bridging foreign timing data.
+// the event's "args". This is what Span uses; prefer Span unless you are
+// bridging foreign timing data.
 void trace_complete_event_on(std::uint32_t lane, std::string name, const char* cat,
                              double ts_us, double dur_us, std::string args_json = {});
 

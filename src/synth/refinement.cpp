@@ -74,7 +74,6 @@ util::Status SynthesisOptions::validate() const {
     return bad("timeout_s must be >= 0 (0 = expire immediately, infinity = no deadline)");
   }
   if (dopts.max_points < 2) return bad("dopts.max_points must be >= 2");
-  if (std::isnan(dopts.dtw_band_frac)) return bad("dopts.dtw_band_frac must not be NaN");
   if (resume && checkpoint_path.empty()) {
     return bad("resume requires a checkpoint_path to restore from");
   }

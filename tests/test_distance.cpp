@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "distance/distance.hpp"
@@ -96,15 +97,6 @@ TEST(Dtw, DetectsAmplitudeDifference) {
   EXPECT_GT(dtw(a, b), 0.5);
 }
 
-TEST(Dtw, BandedApproximatesFull) {
-  auto a = sine(300, 60);
-  auto b = sine(300, 60, 0.2);
-  const double full = dtw(a, b);
-  const double banded = dtw(a, b, 0.2);
-  EXPECT_NEAR(banded, full, std::max(0.05, full * 0.5));
-  EXPECT_GE(banded, full - 1e-12);  // band can only restrict the warp
-}
-
 TEST(Dtw, HandlesDifferentLengths) {
   auto a = ramp(100);
   auto b = resample(a, 63);
@@ -167,8 +159,7 @@ TEST(Compute, MetricNamesAreStable) {
 TEST(DtwAbandon, UnboundedMatchesDefault) {
   auto a = sine(300, 60);
   auto b = sine(300, 60, 0.4);
-  EXPECT_DOUBLE_EQ(dtw(a, b), dtw(a, b, 0.0, kNoAbandon));
-  EXPECT_DOUBLE_EQ(dtw(a, b, 0.2), dtw(a, b, 0.2, kNoAbandon));
+  EXPECT_DOUBLE_EQ(dtw(a, b), dtw(a, b, kNoAbandon));
 }
 
 TEST(DtwAbandon, BoundAboveTrueDistanceIsExact) {
@@ -177,8 +168,8 @@ TEST(DtwAbandon, BoundAboveTrueDistanceIsExact) {
   auto a = sine(300, 60);
   auto b = sine(300, 60, 0.4);
   const double exact = dtw(a, b);
-  EXPECT_DOUBLE_EQ(dtw(a, b, 0.0, exact * 1.0000001), exact);
-  EXPECT_DOUBLE_EQ(dtw(a, b, 0.0, exact + 1.0), exact);
+  EXPECT_DOUBLE_EQ(dtw(a, b, exact * 1.0000001), exact);
+  EXPECT_DOUBLE_EQ(dtw(a, b, exact + 1.0), exact);
 }
 
 TEST(DtwAbandon, NeverReturnsAWrongFiniteValue) {
@@ -189,13 +180,13 @@ TEST(DtwAbandon, NeverReturnsAWrongFiniteValue) {
   const double exact = dtw(a, b);
   ASSERT_GT(exact, 0.0);
   for (double frac : {0.25, 0.5, 0.9, 1.0, 1.1}) {
-    const double d = dtw(a, b, 0.0, exact * frac);
+    const double d = dtw(a, b, exact * frac);
     EXPECT_TRUE(std::isinf(d) || d == exact) << "frac=" << frac << " d=" << d;
     if (std::isinf(d)) {
       EXPECT_LE(exact * frac, exact + 1e-12);  // only losers abandon
     }
   }
-  EXPECT_TRUE(std::isinf(dtw(a, b, 0.0, 0.0)));  // non-positive bound: instant prune
+  EXPECT_TRUE(std::isinf(dtw(a, b, 0.0)));  // non-positive bound: instant prune
 }
 
 TEST(DtwAbandon, RowMinimumAbandonsHopelessPair) {
@@ -205,9 +196,9 @@ TEST(DtwAbandon, RowMinimumAbandonsHopelessPair) {
   auto a = sine(300, 60);
   auto b = a;
   for (auto& x : b) x += 100.0;
-  EXPECT_TRUE(std::isinf(dtw(a, b, 0.0, 1.0)));
+  EXPECT_TRUE(std::isinf(dtw(a, b, 1.0)));
   const double exact = dtw(a, b);
-  EXPECT_DOUBLE_EQ(dtw(a, b, 0.0, exact * 1.01), exact);
+  EXPECT_DOUBLE_EQ(dtw(a, b, exact * 1.01), exact);
 }
 
 TEST(DtwAbandon, EndpointLowerBoundPrunesWithoutDp) {
@@ -215,8 +206,8 @@ TEST(DtwAbandon, EndpointLowerBoundPrunesWithoutDp) {
   // 2*(|a0-b0|+|a1-b1|)/4 = 50; any cutoff below that prunes pre-DP.
   std::vector<double> a{0.0, 0.0}, b{100.0, 100.0};
   const double exact = dtw(a, b);
-  EXPECT_TRUE(std::isinf(dtw(a, b, 0.0, 10.0)));
-  EXPECT_DOUBLE_EQ(dtw(a, b, 0.0, exact + 1.0), exact);
+  EXPECT_TRUE(std::isinf(dtw(a, b, 10.0)));
+  EXPECT_DOUBLE_EQ(dtw(a, b, exact + 1.0), exact);
 }
 
 TEST(DtwAbandon, SelectionUnderBoundMatchesExactSelection) {
@@ -239,7 +230,7 @@ TEST(DtwAbandon, SelectionUnderBoundMatchesExactSelection) {
   double best_fast = std::numeric_limits<double>::infinity();
   std::size_t best_fast_i = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double d = dtw(ref, candidates[i], 0.0, best_fast);
+    const double d = dtw(ref, candidates[i], best_fast);
     if (d < best_fast) {
       best_fast = d;
       best_fast_i = i;
@@ -275,11 +266,35 @@ TEST(LbKeogh, IsAdmissibleOnRandomSeries) {
     double wa = rng.uniform(-10, 10), wb = rng.uniform(-10, 10);
     for (auto& x : a) x = (wa += rng.uniform(-1, 1));
     for (auto& x : b) x = (wb += rng.uniform(-1, 1));
-    for (double frac : {0.0, 0.05, 0.2, 0.5}) {
-      const double lb = lb_keogh(a, b, frac);
-      const double d = dtw(a, b, frac);
-      EXPECT_LE(lb, d) << "n=" << n << " m=" << m << " frac=" << frac;
+    const double lb = lb_keogh(a, b);
+    const double d = dtw(a, b);
+    EXPECT_LE(lb, d) << "n=" << n << " m=" << m;
+  }
+}
+
+TEST(LbKeogh, MatchesGlobalEnvelopeReference) {
+  // The bound is each a-value's distance to [min b, max b], summed in row
+  // order and normalized by 2 / (n + m): bitwise, against a plain loop.
+  util::Rng rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 120));
+    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 120));
+    std::vector<double> a(n), b(m);
+    double wa = rng.uniform(-10, 10), wb = rng.uniform(-10, 10);
+    for (auto& x : a) x = (wa += rng.uniform(-1, 1));
+    for (auto& x : b) x = (wb += rng.uniform(-1, 1));
+    double lower = b[0], upper = b[0];
+    for (double v : b) {
+      lower = std::min(lower, v);
+      upper = std::max(upper, v);
     }
+    double raw = 0.0;
+    for (double v : a) {
+      if (v > upper) raw += v - upper;
+      if (v < lower) raw += lower - v;
+    }
+    const double want = raw * (2.0 / static_cast<double>(n + m));
+    EXPECT_EQ(lb_keogh(a, b), want) << "n=" << n << " m=" << m;
   }
 }
 
@@ -291,17 +306,18 @@ TEST(LbKeogh, TightOnSeparatedConstantSeries) {
 }
 
 TEST(LbKeogh, CascadePrunesHopelessPairBeforeTheDp) {
-  // A pair LB_Kim lets through (equal endpoints) but whose banded interior
-  // is far apart: the envelope cascade must prune it without running the DP,
-  // counted under its own stage counter. (The band matters: an unconstrained
-  // window spans b's zero endpoints and the envelope bound collapses to 0.)
+  // A pair LB_Kim lets through (equal endpoints) but whose interior lies far
+  // above b's whole range: the envelope cascade must prune it without
+  // running the DP, counted under its own stage counter and not as cells.
   std::vector<double> a(100, 0.0), b(100, 0.0);
-  for (std::size_t i = 1; i + 1 < b.size(); ++i) b[i] = 50.0;
-  const double lb = lb_keogh(a, b, 0.05);
+  for (std::size_t i = 1; i + 1 < a.size(); ++i) a[i] = 50.0;
+  const double lb = lb_keogh(a, b);
   ASSERT_GT(lb, 1.0);
   const std::uint64_t before = obs::counter("distance.lb_keogh_prunes").value();
-  EXPECT_TRUE(std::isinf(dtw(a, b, 0.05, 1.0)));
+  const std::uint64_t cells = obs::counter("distance.dtw_cells").value();
+  EXPECT_TRUE(std::isinf(dtw(a, b, 1.0)));
   EXPECT_EQ(obs::counter("distance.lb_keogh_prunes").value(), before + 1);
+  EXPECT_EQ(obs::counter("distance.dtw_cells").value(), cells);
 }
 
 }  // namespace
